@@ -6,7 +6,7 @@
 // (b) each node's periodic pings are coalesced behind one timer pair instead
 // of two timers per neighbor (~200k armed timers instead of ~3M).
 //
-// Defaults: 8 shards, hardware-concurrency worker threads, coalesced pings.
+// Defaults: 8 shards, hardware-concurrency worker threads.
 // The smoke mode used by the CI gate builds the full 100k overlay and runs
 // the 60-sim-second steady-state ping window; the full mode additionally
 // measures the Figure 9 crash-notification experiment at this scale.
@@ -16,7 +16,6 @@
 //   bench_scale_100k --smoke               # CI gate: build + 60 sim-s pings
 //   bench_scale_100k --nodes 50000         # other scales
 //   bench_scale_100k --shards 8 --threads 8
-//   bench_scale_100k --no-coalesce         # per-neighbor timers (slow!)
 //   bench_scale_100k --json out.json
 #include <cstdio>
 #include <cstring>
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
   if (opt.threads < 1) {
     opt.threads = 1;
   }
-  opt.coalesce = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -50,12 +48,10 @@ int main(int argc, char** argv) {
       opt.shards = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       opt.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--no-coalesce") == 0) {
-      opt.coalesce = false;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--nodes N] [--shards S] [--threads T]\n"
-                   "          [--no-coalesce] [--json out.json]\n",
+                   "          [--json out.json]\n",
                    argv[0]);
       return 1;
     }
@@ -64,8 +60,7 @@ int main(int argc, char** argv) {
 
   Header("Scale: 100k virtual nodes on the sharded parallel simulator",
          "ROADMAP 'Shard the simulator; push toward 100k-1M nodes'");
-  std::printf("config: %d nodes, %d shards, %d threads, coalesced pings %s\n", nodes, opt.shards,
-              opt.threads, opt.coalesce ? "on" : "off");
+  std::printf("config: %d nodes, %d shards, %d threads\n", nodes, opt.shards, opt.threads);
   std::vector<ScaleResult> results;
   results.push_back(RunScale(nodes, opt));
   PrintScaleResult(results.back(), opt.with_groups);

@@ -7,8 +7,7 @@
 //   * Build() wall time (topology + joins + ring convergence),
 //   * steady-state throughput: simulated events and messages executed per
 //     wall second over 60 simulated seconds of pinging,
-//   * timer pressure: pending/scheduled/cancelled event counts (the numbers
-//     ping coalescing is measured against),
+//   * timer pressure: pending/scheduled/cancelled event counts,
 //   * crash-notification latency: one co-located "machine" (10 virtual
 //     nodes) crashes and every surviving member of an affected FUSE group
 //     must be notified (the Figure 9 experiment, at scale).
@@ -18,7 +17,6 @@
 //   bench_scale_10k 1000 4000            # explicit scales
 //   bench_scale_10k --smoke              # CI gate: 10k build + 60 s pings
 //   bench_scale_10k --shards 8 --threads 4   # sharded parallel backend
-//   bench_scale_10k --coalesce           # batch each node's pings
 //   bench_scale_10k --json out.json ...  # also emit machine-readable results
 #include <cstdio>
 #include <cstring>
@@ -43,8 +41,6 @@ int main(int argc, char** argv) {
       opt.shards = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       opt.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--coalesce") == 0) {
-      opt.coalesce = true;
     } else {
       scales.push_back(std::atoi(argv[i]));
     }

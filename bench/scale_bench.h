@@ -30,7 +30,6 @@ inline double WallSecondsSince(std::chrono::steady_clock::time_point t0) {
 struct ScaleOptions {
   int shards = 0;        // 0 = classic single-threaded backend
   int threads = 1;       // sharded backend worker count
-  bool coalesce = false; // batch each node's pings behind one timer pair
   bool with_groups = true;
 };
 
@@ -38,7 +37,6 @@ struct ScaleResult {
   int nodes = 0;
   int shards = 0;
   int threads = 0;
-  bool coalesce = false;
   double build_wall_s = 0;
   double avg_neighbors = 0;
   uint64_t steady_events = 0;
@@ -81,12 +79,10 @@ inline ScaleResult RunScale(int n, const ScaleOptions& opt) {
   res.nodes = n;
   res.shards = opt.shards;
   res.threads = opt.shards > 0 ? opt.threads : 1;
-  res.coalesce = opt.coalesce;
 
   ClusterConfig cfg = ClusterConfig::LargeScale(n, /*seed=*/77);
   cfg.num_shards = opt.shards;
   cfg.threads = opt.threads;
-  cfg.overlay.coalesce_pings = opt.coalesce;
   const std::unique_ptr<ClusterHarness> cluster_ptr = MakeSimCluster(cfg);
   ClusterHarness& cluster = *cluster_ptr;
   const ScaleProbes probes = ProbesFor(cluster, opt);
@@ -194,10 +190,7 @@ inline ScaleResult RunScale(int n, const ScaleOptions& opt) {
 inline void PrintScaleResult(const ScaleResult& r, bool with_groups) {
   std::printf("\n--- %d nodes", r.nodes);
   if (r.shards > 0) {
-    std::printf(" (%d shards, %d threads%s)", r.shards, r.threads,
-                r.coalesce ? ", coalesced pings" : "");
-  } else if (r.coalesce) {
-    std::printf(" (coalesced pings)");
+    std::printf(" (%d shards, %d threads)", r.shards, r.threads);
   }
   std::printf(" ---\n");
   std::printf("  build wall time          : %8.2f s\n", r.build_wall_s);
@@ -236,12 +229,12 @@ inline void WriteScaleJson(const std::string& path, const std::vector<ScaleResul
   for (size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];
     std::fprintf(f,
-                 "    {\"nodes\": %d, \"shards\": %d, \"threads\": %d, \"coalesce\": %s,\n"
+                 "    {\"nodes\": %d, \"shards\": %d, \"threads\": %d,\n"
                  "     \"build_wall_s\": %.3f, \"avg_neighbors\": %.2f,\n"
                  "     \"steady_events\": %llu, \"events_per_wall_s\": %.0f,\n"
                  "     \"msgs_per_sim_s\": %.1f, \"pending_timers\": %zu,\n"
                  "     \"timers_scheduled\": %llu, \"timers_cancelled\": %llu",
-                 r.nodes, r.shards, r.threads, r.coalesce ? "true" : "false", r.build_wall_s,
+                 r.nodes, r.shards, r.threads, r.build_wall_s,
                  r.avg_neighbors, static_cast<unsigned long long>(r.steady_events),
                  r.steady_events_per_wall_s, r.steady_msgs_per_sim_s, r.pending_timers,
                  static_cast<unsigned long long>(r.timers_scheduled),

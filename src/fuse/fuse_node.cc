@@ -142,9 +142,6 @@ std::string FuseNode::DebugGroupState(FuseId id) const {
     }
     first = false;
     s += std::to_string(link.peer.value);
-    if (!params_.coalesce_group_timers && !link.timer.pending()) {
-      s += "(idle)";
-    }
   }
   s += "]";
   if (g->aux != nullptr) {
@@ -157,11 +154,6 @@ std::string FuseNode::DebugGroupState(FuseId id) const {
     if (g->aux->member_repair_timer.pending()) {
       s += " member_repair_armed";
     }
-  }
-  if (params_.coalesce_group_timers) {
-    s += " coalesced";
-  } else if (!g->backstop.pending()) {
-    s += " BACKSTOP-IDLE";
   }
   return s;
 }
@@ -205,11 +197,6 @@ size_t FuseNode::CountArmedGroupTimers() const {
     if (g->backstop.pending()) {
       ++n;
     }
-    for (const LinkEntry& link : g->links) {
-      if (link.timer.pending()) {
-        ++n;
-      }
-    }
     if (g->aux != nullptr) {
       const RepairAux& a = *g->aux;
       if (a.member_repair_timer.pending()) {
@@ -233,9 +220,6 @@ size_t FuseNode::CountArmedGroupTimers() const {
 }
 
 bool FuseNode::DebugVerifyLinkDigests() const {
-  if (!params_.incremental_link_digest) {
-    return true;
-  }
   for (const auto& [peer, pl] : links_by_peer_) {
     Sha1Digest expect{};
     for (const FuseId& id : pl.ids) {
@@ -561,21 +545,19 @@ void FuseNode::XorInto(Sha1Digest& digest, FuseId id) {
 
 void FuseNode::AddLinkIndex(FuseId id, HostId peer) {
   PeerLinks& pl = links_by_peer_[peer];
-  if (pl.ids.insert(id).second && params_.incremental_link_digest) {
+  if (pl.ids.insert(id).second) {
     XorInto(pl.digest, id);
   }
-  if (params_.coalesce_group_timers) {
-    // A fresh install counts as hearing from the peer: the sweep must not
-    // tear down a link that never had a chance to confirm a ping.
-    pl.last_refresh = transport_->env().Now();
-    ArmPeerSweep();
-  }
+  // A fresh install counts as hearing from the peer: the sweep must not tear
+  // down a link that never had a chance to confirm a ping.
+  pl.last_refresh = transport_->env().Now();
+  ArmPeerSweep();
 }
 
 void FuseNode::EraseLinkIndex(FuseId id, HostId peer) {
   const auto it = links_by_peer_.find(peer);
   if (it != links_by_peer_.end()) {
-    if (it->second.ids.erase(id) > 0 && params_.incremental_link_digest) {
+    if (it->second.ids.erase(id) > 0) {
       XorInto(it->second.digest, id);  // XOR is self-inverse: this removes it
     }
     if (it->second.ids.empty()) {
@@ -596,25 +578,20 @@ void FuseNode::AddLink(GroupState& g, HostId peer, uint32_t seq) {
     link->installed_at = transport_->env().Now();
   }
   link->seq = std::max(link->seq, seq);
-  if (params_.coalesce_group_timers) {
-    // No per-link timer: the peer sweep covers it. A participant that just
-    // gained its first link no longer needs the empty-links backstop.
-    AddLinkIndex(g.id, peer);
-    if (g.is_root || g.is_member) {
-      ArmBackstop(g);
-    }
-    return;
-  }
-  ArmLinkTimer(g.id, peer, *link);
+  // No per-link timer: the peer sweep covers it. A participant that just
+  // gained its first link no longer needs the empty-links backstop.
   AddLinkIndex(g.id, peer);
+  if (g.is_root || g.is_member) {
+    ArmBackstop(g);
+  }
 }
 
 void FuseNode::RemoveLink(GroupState& g, HostId peer) {
   for (auto it = g.links.begin(); it != g.links.end(); ++it) {
     if (it->peer == peer) {
-      g.links.erase(it);  // the link timer auto-cancels
+      g.links.erase(it);
       EraseLinkIndex(g.id, peer);
-      if (params_.coalesce_group_timers && g.links.empty() && (g.is_root || g.is_member)) {
+      if (g.links.empty() && (g.is_root || g.is_member)) {
         ArmBackstop(g);  // last link gone: fall back to the per-group backstop
       }
       return;
@@ -622,20 +599,10 @@ void FuseNode::RemoveLink(GroupState& g, HostId peer) {
   }
 }
 
-void FuseNode::ArmLinkTimer(FuseId id, HostId peer, LinkEntry& link) {
-  // The callback is installed once per link; every ping-driven refresh
-  // afterwards is an allocation-free rearm.
-  if (!link.timer.has_callback()) {
-    link.timer.Bind(transport_->env());
-    link.timer.SetCallback([this, id, peer] { HandleLinkDown(id, peer); });
-  }
-  link.timer.Restart(params_.link_liveness_timeout);
-}
-
 void FuseNode::ArmBackstop(GroupState& g) {
-  if (params_.coalesce_group_timers && !g.links.empty()) {
-    // Healthy coalesced path: the per-peer sweep covers this group through
-    // its links; the per-group timer stays disarmed.
+  if (!g.links.empty()) {
+    // Healthy path: the per-peer sweep covers this group through its links;
+    // the per-group timer stays disarmed.
     g.backstop.Cancel();
     return;
   }
@@ -659,7 +626,7 @@ void FuseNode::ArmBackstop(GroupState& g) {
 }
 
 void FuseNode::ArmPeerSweep() {
-  if (!params_.coalesce_group_timers || shutdown_ || links_by_peer_.empty()) {
+  if (shutdown_ || links_by_peer_.empty()) {
     return;
   }
   if (peer_sweep_.pending()) {
@@ -674,23 +641,25 @@ void FuseNode::ArmPeerSweep() {
     earliest = std::min(earliest, pl.last_refresh);
   }
   const TimePoint now = transport_->env().Now();
-  const TimePoint deadline = earliest + params_.link_liveness_timeout;
-  const Duration delay = deadline > now ? deadline - now : Duration::Zero();
+  sweep_deadline_ = std::max(earliest + params_.link_liveness_timeout, now);
   peer_sweep_.Bind(transport_->env());
   // Start (not Restart): this also runs from inside the sweep's own fire,
   // where the stored callback is temporarily consumed.
-  peer_sweep_.Start(delay, [this] { SweepStalePeers(); });
+  peer_sweep_.Start(sweep_deadline_ - now, [this] { SweepStalePeers(); });
 }
 
 void FuseNode::SweepStalePeers() {
-  const TimePoint now = transport_->env().Now();
+  // The fire is the verdict for the deadline it was armed for, as in
+  // PingManager::OnRoundTimeout: on a skewed host it lands off that deadline,
+  // and judging by Now() would re-arm for a shrinking remainder forever.
+  const TimePoint verdict = sweep_deadline_;
   // Snapshot the stale (peer, id) pairs first: HandleLinkDown mutates both
   // the peer table and the group table. Swap-in the pooled scratch so a
   // reentrant activation owns its own buffer.
   std::vector<std::pair<HostId, FuseId>> stale = std::move(sweep_scratch_);
   stale.clear();
   for (const auto& [peer, pl] : links_by_peer_) {
-    if (now - pl.last_refresh >= params_.link_liveness_timeout) {
+    if (verdict - pl.last_refresh >= params_.link_liveness_timeout) {
       for (const FuseId& id : pl.ids) {
         stale.emplace_back(peer, id);
       }
@@ -704,27 +673,15 @@ void FuseNode::SweepStalePeers() {
   ArmPeerSweep();
 }
 
-// Computes the 20-byte piggyback hash of the link's live FUSE-ID list, or
-// returns false when nothing is monitored on that link. Classic mode hashes
-// the whole ID list (O(groups-on-link), once per ping sent and received);
-// incremental mode returns the digest maintained at add/remove time. Both
-// encodings are 20 bytes, so the mode changes no message sizes — only which
-// side pays the CPU.
+// Returns the 20-byte piggyback digest of the link's live FUSE-ID list (the
+// XOR of SHA-1 over the IDs, maintained at add/remove time), or false when
+// nothing is monitored on that link.
 bool FuseNode::LinkHashFor(HostId neighbor, Sha1Digest* out) {
   const auto it = links_by_peer_.find(neighbor);
   if (it == links_by_peer_.end() || it->second.ids.empty()) {
     return false;
   }
-  if (params_.incremental_link_digest) {
-    *out = it->second.digest;
-    return true;
-  }
-  Sha1 h;
-  for (const FuseId& id : it->second.ids) {
-    h.UpdateU64(id.hi);
-    h.UpdateU64(id.lo);
-  }
-  *out = h.Finish();
+  *out = it->second.digest;
   return true;
 }
 
@@ -742,36 +699,12 @@ void FuseNode::OnPingPayload(HostId neighbor, const uint8_t* data, size_t len) {
     return;  // both sides agree: nothing monitored on this link
   }
   if (monitored && len == local.size() && std::memcmp(data, local.data(), len) == 0) {
-    ResetLinkTimers(neighbor);
+    // O(1) healthy path: one stamp covers every group on the link; the armed
+    // sweep timer needs no adjustment (it rescans on fire).
+    links_by_peer_.find(neighbor)->second.last_refresh = transport_->env().Now();
     return;
   }
   MaybeReconcile(neighbor);
-}
-
-void FuseNode::ResetLinkTimers(HostId neighbor) {
-  const auto it = links_by_peer_.find(neighbor);
-  if (it == links_by_peer_.end()) {
-    return;
-  }
-  if (params_.coalesce_group_timers) {
-    // O(1) healthy path: one stamp covers every group on the link; the
-    // armed sweep timer needs no adjustment (it rescans on fire).
-    it->second.last_refresh = transport_->env().Now();
-    return;
-  }
-  for (const FuseId& id : it->second.ids) {
-    GroupState* g = Find(id);
-    if (g == nullptr) {
-      continue;
-    }
-    LinkEntry* link = FindLink(*g, neighbor);
-    if (link != nullptr) {
-      ArmLinkTimer(id, neighbor, *link);
-    }
-    if (g->is_root || g->is_member) {
-      ArmBackstop(*g);
-    }
-  }
 }
 
 void FuseNode::OnOverlayNeighborFailed(HostId neighbor) {
@@ -900,19 +833,13 @@ void FuseNode::ProcessRemoteLinkList(HostId neighbor, Reader& r) {
     if (remote.contains(id)) {
       // Agreement: the tree lives on; reset the timers (paper 6.3).
       agreed = true;
-      if (!params_.coalesce_group_timers) {
-        ArmLinkTimer(id, neighbor, *link);
-        if (g->is_root || g->is_member) {
-          ArmBackstop(*g);
-        }
-      }
     } else if (now - link->installed_at > params_.grace_period) {
       // Disagreement beyond the grace period: the neighbor does not believe
       // this liveness tree exists; tear it down on our side.
       HandleLinkDown(id, neighbor);
     }
   }
-  if (agreed && params_.coalesce_group_timers) {
+  if (agreed) {
     // One stamp bump covers every agreed group on the link. Re-find: the
     // HandleLinkDown calls above may have erased and recreated table entries.
     const auto it2 = links_by_peer_.find(neighbor);

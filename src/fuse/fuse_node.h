@@ -21,12 +21,12 @@
 //  * no stable storage: crash recovery is re-registration plus the
 //    reconciliation mechanism tearing down groups the crashed node forgot.
 //
-// Group fast path (FuseParams::incremental_link_digest /
-// coalesce_group_timers, both opt-in): the per-ping liveness cost is O(1) in
-// the number of groups on a link. The piggyback hash becomes a maintained
-// XOR-of-SHA1 set digest updated at link add/remove time, and the per-group
-// link/backstop timers on the healthy path collapse into one last-heard
-// stamp per neighbor plus a single earliest-deadline sweep timer per node.
+// Group liveness costs O(1) per ping in the number of groups on a link. The
+// piggyback hash is a maintained XOR-of-SHA1 set digest updated at link
+// add/remove time, and the healthy path arms no per-group timers: one
+// last-heard stamp per neighbor plus a single earliest-deadline sweep timer
+// per node cover every link (a participant left with no links falls back to
+// its per-group backstop).
 // Group state itself lives in a generation-tagged Pool indexed by a
 // Flat128Map, with the rarely-used repair machinery split into an on-demand
 // side allocation, so a million idle groups cost bytes, not timers.
@@ -121,15 +121,19 @@ class FuseNode {
   // Estimated heap bytes held by this node's group state (pool slots, link
   // index, member lists). For the bytes-per-group bench gauges.
   size_t ApproxGroupBytes() const;
-  // Armed FUSE-layer timers (link, backstop, repair, sweep). The coalesced
-  // fast path keeps this O(neighbors); classic mode is O(groups).
+  // Armed FUSE-layer timers (backstop, repair, sweep): O(neighbors) on the
+  // healthy path, whatever the number of groups.
   size_t CountArmedGroupTimers() const;
   // Oracle for the incremental digest: recomputes every per-peer digest from
-  // scratch and compares with the maintained value. Always true when
-  // incremental_link_digest is off.
+  // scratch and compares with the maintained value.
   bool DebugVerifyLinkDigests() const;
 
   void Shutdown();
+
+  // XOR of SHA-1(hi || lo) into the digest: self-inverse, so the same call
+  // both adds and removes an id from the set fingerprint. A link's digest
+  // over its live IDs is the 20-byte payload FUSE piggybacks on pings.
+  static void XorInto(Sha1Digest& digest, FuseId id);
 
  private:
   // All timers below are RAII handles: dropping a LinkEntry, CreatePending,
@@ -139,7 +143,6 @@ class FuseNode {
     HostId peer;
     uint32_t seq = 0;           // tree incarnation this link belongs to
     TimePoint installed_at;     // for the reconcile grace period
-    Timer timer;                // classic mode: per-(group, link) liveness backstop
   };
 
   struct CreatePending {
@@ -194,9 +197,8 @@ class FuseNode {
 
     // Members/root: group-level liveness backstop (paper 6.2: "a timer ...
     // that will signal failure in the event of future communication
-    // failures", reset only by liveness checking). In coalesced mode it is
-    // armed only while the group has no links (the per-peer sweep covers it
-    // otherwise).
+    // failures", reset only by liveness checking). Armed only while the
+    // group has no links (the per-peer sweep covers it otherwise).
     Timer backstop;
 
     std::unique_ptr<RepairAux> aux;
@@ -206,13 +208,11 @@ class FuseNode {
 
   using GroupRef = Pool<GroupState>::Ref;
 
-  // Per-neighbor liveness index: which groups ride on the link, plus the two
-  // fast-path fields — the maintained XOR-of-SHA1 set digest
-  // (incremental_link_digest) and the last healthy-confirmation stamp
-  // (coalesce_group_timers).
+  // Per-neighbor liveness index: which groups ride on the link, the
+  // maintained XOR-of-SHA1 set digest, and the last healthy-confirmation
+  // stamp.
   struct PeerLinks {
-    // Ordered so the classic SHA-1 piggyback hash and the reconcile link
-    // list are deterministic.
+    // Ordered so the reconcile link list is deterministic.
     std::set<FuseId> ids;
     Sha1Digest digest{};
     TimePoint last_refresh;
@@ -240,12 +240,10 @@ class FuseNode {
   void OnOverlayNeighborFailed(HostId neighbor);
   void AddLink(GroupState& g, HostId peer, uint32_t seq);
   void RemoveLink(GroupState& g, HostId peer);
-  void ResetLinkTimers(HostId neighbor);
-  void ArmLinkTimer(FuseId id, HostId peer, LinkEntry& link);
   void ArmBackstop(GroupState& g);
   void HandleLinkDown(FuseId id, HostId peer);
-  // Coalesced mode: one timer armed at the earliest per-peer deadline;
-  // firing rescans the peer table and tears down every stale link.
+  // One timer armed at the earliest per-peer deadline; firing rescans the
+  // peer table and tears down every stale link.
   void ArmPeerSweep();
   void SweepStalePeers();
 
@@ -282,9 +280,6 @@ class FuseNode {
   const LinkEntry* FindLink(const GroupState& g, HostId peer) const;
   RepairAux& Aux(GroupState& g);
   void MaybeTrimAux(GroupState& g);
-  // XOR of SHA-1(hi || lo) into the digest: self-inverse, so the same call
-  // both adds and removes an id from the set fingerprint.
-  static void XorInto(Sha1Digest& digest, FuseId id);
 
   Transport* transport_;
   SkipNetNode* overlay_;
@@ -300,8 +295,10 @@ class FuseNode {
   std::unordered_map<HostId, PeerLinks> links_by_peer_;
   std::unordered_map<HostId, TimePoint> last_reconcile_;
 
-  // Coalesced mode: the single per-node group-liveness timer.
+  // The single per-node group-liveness timer, and the deadline it was armed
+  // for (its fire is the verdict for exactly that deadline).
   Timer peer_sweep_;
+  TimePoint sweep_deadline_;
   // Pooled scratch snapshots for the failure paths (OnOverlayNeighborFailed,
   // SweepStalePeers): reused across invocations, handed off by swap so a
   // reentrant activation owns its own snapshot.

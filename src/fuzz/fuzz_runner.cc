@@ -27,6 +27,12 @@ struct GroupObs {
   int64_t trigger_us = -1;  // first clause implicating this group
 };
 
+// Re-arms itself with zero delay forever: simulated time stops advancing.
+struct Spin {
+  Environment* env;
+  void operator()() const { env->Schedule(Duration::Zero(), Spin{env}); }
+};
+
 void NoteTrigger(GroupObs& g, int64_t now_us) {
   if (g.trigger_us < 0) {
     g.trigger_us = now_us;
@@ -51,10 +57,9 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
   cfg.cost = CostModel::Simulator();
   cfg.num_shards = options.num_shards;
   cfg.threads = options.threads;
-  cfg.fuse.incremental_link_digest = options.incremental_link_digest;
-  cfg.fuse.coalesce_group_timers = options.coalesce_group_timers;
   const std::unique_ptr<ClusterHarness> cluster_ptr = MakeSimCluster(cfg);
   ClusterHarness& cluster = *cluster_ptr;
+  cluster.SetStallLimit(kLivelockEvents);
   cluster.Build();
 
   // Group membership is derived from the schedule seed alone (not the sim
@@ -110,7 +115,11 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
         // registration would mask rather than duplicate).
         const int per_fire =
             options.plant_duplicate_watch && m == gp->members[0] ? 2 : 1;
-        cluster.WatchGroupMemberInContext(m, gp->id, [gp, m, &cluster, per_fire] {
+        const bool spin = options.plant_livelock && m == gp->members[0];
+        cluster.WatchGroupMemberInContext(m, gp->id, [gp, m, &cluster, per_fire, spin] {
+          if (spin) {
+            Spin{&cluster.env()}();
+          }
           gp->fired[m] += per_fire;
           if (!gp->first_fire_us.contains(m)) {
             gp->first_fire_us[m] = cluster.env().Now().ToMicros();
@@ -416,6 +425,14 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
       }
     }
   });
+
+  // A stalled engine ran nothing after the stall (it only drained events), so
+  // the grading above judged a frozen cluster: the livelock is the verdict.
+  if (const TimePoint at = cluster.StalledAt(); at != TimePoint::Max()) {
+    res.violations.clear();
+    violate("livelock: %" PRIu64 " events ran at t=%" PRId64 "us without sim time advancing",
+            kLivelockEvents, at.ToMicros());
+  }
 
   std::snprintf(buf, sizeof(buf),
                 "run seed=%" PRIu64

@@ -13,7 +13,10 @@
 //     still one-way — if any member heard a notification, every never-crashed
 //     member must hear exactly one.
 // Duplicate notifications are violations everywhere. Groups get one extra
-// detection window before a partial delivery is declared a violation.
+// detection window before a partial delivery is declared a violation. A run
+// whose simulated clock stops advancing (a livelock: the engine runs
+// kLivelockEvents events in a row at one instant) is stopped and reported as
+// a `livelock` violation, so a hang gets a verdict and can be shrunk.
 //
 // Detector QoS (Duarte et al.'s diagnosis framing): per run, the number of
 // false-positive groups and the worst time from a group's trigger to full
@@ -29,11 +32,20 @@
 
 namespace fuse {
 
+// Events in a row at one simulated instant that count as a livelock. A
+// healthy schedule runs at most a few thousand (a burst of same-instant
+// deliveries); a timer re-firing at one instant passes this within a second.
+inline constexpr uint64_t kLivelockEvents = 1000000;
+
 struct FuzzRunOptions {
   // Test hook for the shrinker's own coverage: the first member's failure
   // watch counts every notification twice, so any real notification becomes
   // a duplicate-delivery violation the shrinker must minimize.
   bool plant_duplicate_watch = false;
+  // Test hook for the livelock verdict: the first member's failure watch
+  // starts a zero-delay event that re-arms itself forever, so the first
+  // notification freezes the simulated clock.
+  bool plant_livelock = false;
 
   // Simulator backend (see MakeSimCluster): 0 runs the classic
   // single-threaded engine; >= 1 runs the sharded engine with that many
@@ -41,14 +53,6 @@ struct FuzzRunOptions {
   // function of (schedule, num_shards) only — never of threads.
   int num_shards = 0;
   int threads = 1;
-
-  // Group fast-path flags under test (FuseParams::incremental_link_digest /
-  // coalesce_group_timers). The digest changes no message sizes, so its
-  // verdicts AND log lines must match classic byte-for-byte; coalescing
-  // shifts detection timing within the oracle's windows, so only its
-  // verdicts must stay green.
-  bool incremental_link_digest = false;
-  bool coalesce_group_timers = false;
 
   // Virtual-time bounds (the simulator's analytic detection bound, as in
   // runtime/scenario.cc).

@@ -9,17 +9,15 @@ namespace {
 constexpr size_t kPingHeaderBytes = 8;
 }  // namespace
 
-PingManager::PingManager(Transport* transport, Duration period, Duration timeout, bool coalesce)
-    : transport_(transport), period_(period), timeout_(timeout), coalesce_(coalesce) {
+PingManager::PingManager(Transport* transport, Duration period, Duration timeout)
+    : transport_(transport), period_(period), timeout_(timeout) {
   transport_->RegisterHandler(msgtype::kOverlayPing,
                               [this](const WireMessage& m) { OnPing(m); });
   transport_->RegisterHandler(msgtype::kOverlayPingReply,
                               [this](const WireMessage& m) { OnPingReply(m); });
-  if (coalesce_) {
-    round_timer_.Bind(transport_->env());
-    round_timeout_.Bind(transport_->env());
-    round_timeout_.SetCallback([this] { OnRoundTimeout(); });
-  }
+  round_timer_.Bind(transport_->env());
+  round_timeout_.Bind(transport_->env());
+  round_timeout_.SetCallback([this] { OnRoundTimeout(); });
 }
 
 PingManager::~PingManager() { Stop(); }
@@ -29,19 +27,11 @@ void PingManager::Start() {
     return;
   }
   running_ = true;
-  if (coalesce_) {
-    // One jittered phase for the whole batch: the cluster's rounds spread
-    // over the period even though each node's pings leave together.
-    const Duration phase =
-        Duration::Micros(transport_->env().rng().UniformInt(0, period_.ToMicros()));
-    round_timer_.Start(phase, period_, [this] { SendRound(); });
-    return;
-  }
-  peers_.ForEach([this](uint64_t key, Peer& peer) {
-    if (!peer.ping.running() && !peer.failed) {
-      StartPeerPings(HostId(key));
-    }
-  });
+  // One jittered phase for the whole batch: the cluster's rounds spread over
+  // the period even though each node's pings leave together.
+  const Duration phase =
+      Duration::Micros(transport_->env().rng().UniformInt(0, period_.ToMicros()));
+  round_timer_.Start(phase, period_, [this] { SendRound(); });
 }
 
 void PingManager::Stop() {
@@ -49,41 +39,19 @@ void PingManager::Stop() {
     return;
   }
   running_ = false;
-  if (coalesce_) {
-    round_timer_.Stop();
-    round_timeout_.Cancel();
-    peers_.ForEach([](uint64_t, Peer& peer) { peer.awaiting = false; });
-    return;
-  }
-  peers_.ForEach([](uint64_t, Peer& peer) {
-    peer.ping.Stop();
-    peer.timeout.Cancel();
-  });
+  round_timer_.Stop();
+  round_timeout_.Cancel();
+  peers_.ForEach([](uint64_t, Peer& peer) { peer.awaiting = false; });
 }
 
 void PingManager::UpdateNeighbors(const std::vector<HostId>& neighbors) {
   // Stamp every wanted peer with this round's epoch, creating the new ones;
   // whatever still carries an older stamp afterwards is no longer wanted.
-  // No scratch map: the stamp lives in the peer entry.
+  // No scratch map: the stamp lives in the peer entry. New peers need no
+  // timers: the next round picks them up.
   ++wanted_epoch_;
   for (const HostId h : neighbors) {
-    if (Peer* existing = peers_.Find(h.value); existing != nullptr) {
-      existing->wanted_epoch = wanted_epoch_;
-      continue;
-    }
-    Peer& p = peers_.FindOrInsert(h.value);
-    p.wanted_epoch = wanted_epoch_;
-    if (coalesce_) {
-      continue;  // no per-peer timers: the next round picks the peer up
-    }
-    p.ping.Bind(transport_->env());
-    p.timeout.Bind(transport_->env());
-    // The timeout callback is installed once; every subsequent ping just
-    // rearms it (Restart), allocation-free.
-    p.timeout.SetCallback([this, h] { HandleFailure(h); });
-    if (running_) {
-      StartPeerPings(h);
-    }
+    peers_.FindOrInsert(h.value).wanted_epoch = wanted_epoch_;
   }
   doomed_.clear();
   peers_.ForEach([this](uint64_t key, Peer& peer) {
@@ -92,35 +60,8 @@ void PingManager::UpdateNeighbors(const std::vector<HostId>& neighbors) {
     }
   });
   for (const uint64_t key : doomed_) {
-    peers_.Erase(key);  // resets the entry: its timers auto-cancel
+    peers_.Erase(key);
   }
-}
-
-void PingManager::StartPeerPings(HostId peer) {
-  Peer* p = peers_.Find(peer.value);
-  if (p == nullptr || p->failed) {
-    return;
-  }
-  // A jittered first ping spreads load over the period (matches the
-  // steady-state message-rate accounting of section 7.5); afterwards the
-  // cycle is strictly periodic.
-  const Duration phase =
-      Duration::Micros(transport_->env().rng().UniformInt(0, period_.ToMicros()));
-  p->ping.Start(phase, period_, [this, peer] { SendPing(peer); });
-}
-
-void PingManager::SendPing(HostId peer) {
-  Peer* p = peers_.Find(peer.value);
-  if (p == nullptr || p->failed || !running_) {
-    return;
-  }
-  // Keep the earliest outstanding deadline: if timeout >= period, a new
-  // periodic send must not push out the failure verdict for the previous,
-  // still-unanswered ping (a dead peer would never time out otherwise).
-  if (!p->timeout.pending()) {
-    p->timeout.Restart(timeout_);
-  }
-  SendPingTo(peer);
 }
 
 void PingManager::SendPingTo(HostId peer) {
@@ -157,7 +98,7 @@ void PingManager::SendRound() {
       round_scratch_.push_back(key);
     }
   });
-  const TimePoint now = transport_->env().Now();
+  ++round_;
   bool armed_any = false;
   for (const uint64_t key : round_scratch_) {
     Peer* p = peers_.Find(key);
@@ -169,40 +110,50 @@ void PingManager::SendRound() {
     if (p == nullptr || p->failed) {
       continue;
     }
-    if (!p->awaiting) {  // earliest-deadline rule, as in SendPing
+    // Keep the earliest outstanding deadline: if timeout >= period, a new
+    // round must not push out the verdict for the previous, still-unanswered
+    // ping (a dead peer would never time out otherwise).
+    if (!p->awaiting) {
       p->awaiting = true;
-      p->deadline = now + timeout_;
+      p->round = round_;
       armed_any = true;
     }
   }
-  // Invariant: whenever any peer is awaiting, round_timeout_ is pending (at
-  // or before the earliest deadline) — so a non-pending timer here means the
-  // batch's fresh deadline is the earliest.
+  // Invariant: whenever any peer is awaiting, round_timeout_ is pending (for
+  // the earliest awaited round or before) — so a non-pending timer here
+  // means this round is the earliest.
   if (armed_any && !round_timeout_.pending()) {
+    verdict_round_ = round_;
     round_timeout_.Restart(timeout_);
   }
 }
 
 void PingManager::OnRoundTimeout() {
-  const TimePoint now = transport_->env().Now();
+  // The fire is the verdict for the round it was armed for, not for Now():
+  // on a skewed host (clock rate != 1) it lands off the global deadline, and
+  // judging by Now() would re-arm for a remainder that shrinks to 0 us and
+  // re-fires at one instant forever.
   round_scratch_.clear();
-  TimePoint next = TimePoint::Max();
+  uint64_t next = UINT64_MAX;
   peers_.ForEach([&](uint64_t key, Peer& peer) {
     if (peer.failed || !peer.awaiting) {
       return;
     }
-    if (peer.deadline <= now) {
+    if (peer.round <= verdict_round_) {
       round_scratch_.push_back(key);
-    } else if (peer.deadline < next) {
-      next = peer.deadline;
+    } else if (peer.round < next) {
+      next = peer.round;
     }
   });
   // Re-arm before reporting: failure handlers may reenter (UpdateNeighbors).
-  // A removed peer at worst leaves one spurious no-op fire behind. Start, not
-  // Restart: inside the timer's own callback the stored function is consumed
-  // (see sim/timer.h), so a self-rearm must supply it again.
-  if (next != TimePoint::Max()) {
-    round_timeout_.Start(next - now, [this] { OnRoundTimeout(); });
+  // A removed peer at worst leaves one spurious no-op fire behind. Rounds are
+  // one period apart on this host's clock, so every verdict lands `timeout`
+  // after its round on that clock. Start, not Restart: inside the timer's own
+  // callback the stored function is consumed (see sim/timer.h).
+  if (next != UINT64_MAX) {
+    const auto periods = static_cast<int64_t>(next - verdict_round_);
+    verdict_round_ = next;
+    round_timeout_.Start(period_ * periods, [this] { OnRoundTimeout(); });
   }
   for (const uint64_t key : round_scratch_) {
     HandleFailure(HostId(key));
@@ -245,7 +196,6 @@ void PingManager::OnPingReply(const WireMessage& msg) {
     // even if it answers an older ping than the latest one sent (with
     // timeout >= period several pings can be outstanding; a reply slower
     // than one period must not count as a failure).
-    p->timeout.Cancel();
     p->awaiting = false;
   }
   if (observer_) {
@@ -259,8 +209,6 @@ void PingManager::HandleFailure(HostId peer) {
   if (p == nullptr || p->failed) {
     return;
   }
-  p->ping.Stop();
-  p->timeout.Cancel();
   p->awaiting = false;
   p->failed = true;  // stop pinging; owner removes the peer via UpdateNeighbors
   if (on_failure_) {

@@ -7,15 +7,21 @@
 // so FUSE adds no messages of its own in the failure-free steady state.
 // Links are monitored from both sides: each endpoint pings independently.
 //
-// The warm request→reply cycle is allocation-free end to end: peers live in
+// Timers are coalesced per node: ONE phase-jittered periodic timer pings
+// every peer in a batch round (the jitter spreads the cluster's rounds over
+// the period), plus ONE timeout timer tracking the earliest outstanding
+// per-peer deadline — 2 armed timers per node instead of 2 per (node,
+// neighbor), which is what keeps the timer wheels breathing at 100k nodes.
+// Each peer's failure verdict still lands `timeout` after its own unanswered
+// ping, and any reply disarms that peer. A peer added mid-period waits for
+// the next round.
+//
+// The warm request->reply cycle is allocation-free end to end: peers live in
 // an open-addressed table (common/flat_map.h) reconciled against the wanted
 // set by epoch stamping instead of a scratch hash map, messages are encoded
 // into a reused Writer whose bytes become an inline PayloadBuf, the client
 // payload is appended directly to that Writer by the provider, and the
-// observer sees the remote payload as a view into the received message. Each
-// peer owns a rearming PeriodicTimer (phase-jittered so the cluster's ping
-// load spreads over the period) and a one-shot timeout Timer whose callback
-// is installed once at peer creation.
+// observer sees the remote payload as a view into the received message.
 //
 // Wire format (request and reply): u64 sequence number, then the client
 // payload running to the end of the message.
@@ -47,18 +53,7 @@ class PingManager {
   // connection broke).
   using FailureHandler = std::function<void(HostId neighbor)>;
 
-  // With `coalesce` set, the manager runs ONE phase-jittered periodic timer
-  // that pings every peer in a batch round, plus ONE timeout timer tracking
-  // the earliest outstanding per-peer deadline — 2 armed timers per node
-  // instead of 2 per (node, neighbor), which is what keeps the timer wheels
-  // breathing at 100k nodes. Per-peer semantics are preserved exactly: each
-  // peer's failure verdict still lands `timeout` after its own unanswered
-  // ping (the shared timer re-arms to the next-earliest deadline), and any
-  // reply still disarms that peer. What changes is phasing: all of a node's
-  // pings leave together once per period instead of each on its own jitter,
-  // and a peer added mid-period waits for the next round instead of getting
-  // an immediate jittered first ping.
-  PingManager(Transport* transport, Duration period, Duration timeout, bool coalesce = false);
+  PingManager(Transport* transport, Duration period, Duration timeout);
   ~PingManager();
 
   PingManager(const PingManager&) = delete;
@@ -69,7 +64,7 @@ class PingManager {
   void SetFailureHandler(FailureHandler h) { on_failure_ = std::move(h); }
 
   // Reconciles the pinged set with the current neighbor list: new neighbors
-  // get a jittered first ping; removed neighbors stop being pinged.
+  // are pinged from the next round on; removed neighbors stop being pinged.
   void UpdateNeighbors(const std::vector<HostId>& neighbors);
 
   void Start();
@@ -80,25 +75,21 @@ class PingManager {
 
  private:
   struct Peer {
-    PeriodicTimer ping;  // sends one ping per period (jittered phase)
-    Timer timeout;       // armed while a ping is unanswered; any reply disarms
     bool failed = false; // failure already reported; awaiting removal
     uint64_t wanted_epoch = 0;  // last UpdateNeighbors round that listed us
-    // Coalesced mode only: an unanswered ping is outstanding and its failure
-    // verdict is due at `deadline` (tracked by the shared round_timeout_).
+    // An unanswered ping is outstanding since round `round`; its failure
+    // verdict is due `timeout` after that round (tracked by the shared
+    // round_timeout_).
     bool awaiting = false;
-    TimePoint deadline;
+    uint64_t round = 0;
   };
 
-  // Begins the peer's periodic ping cycle at a jittered phase.
-  void StartPeerPings(HostId peer);
-  void SendPing(HostId peer);
-  // Encodes and transmits one ping (no timeout bookkeeping).
+  // Encodes and transmits one ping.
   void SendPingTo(HostId peer);
-  // Coalesced mode: one batch of pings to every live peer.
+  // One batch of pings to every live peer.
   void SendRound();
-  // Coalesced mode: fail every peer whose deadline passed, then re-arm for
-  // the earliest remaining one.
+  // Fails every peer awaiting since the round the fire is the verdict for
+  // (or earlier), then re-arms for the earliest remaining round.
   void OnRoundTimeout();
   void OnPing(const WireMessage& msg);
   void OnPingReply(const WireMessage& msg);
@@ -114,12 +105,15 @@ class PingManager {
   uint64_t next_seq_ = 1;
   uint64_t wanted_epoch_ = 0;
   bool running_ = false;
-  const bool coalesce_;
-  PeriodicTimer round_timer_;  // coalesced: one ping batch per period
-  Timer round_timeout_;        // coalesced: earliest outstanding deadline
+  PeriodicTimer round_timer_;  // one ping batch per period
+  Timer round_timeout_;        // earliest outstanding deadline
+  uint64_t round_ = 0;         // rounds sent so far
+  // The round whose deadline round_timeout_ is armed for: a fire is the
+  // verdict for exactly that round.
+  uint64_t verdict_round_ = 0;
   Writer scratch_;                // reused encode buffer (capacity stays warm)
   std::vector<uint64_t> doomed_;  // reused reconciliation scratch
-  std::vector<uint64_t> round_scratch_;  // reused batch scratch (coalesced)
+  std::vector<uint64_t> round_scratch_;  // reused batch scratch
 };
 
 }  // namespace fuse

@@ -33,7 +33,7 @@ SkipNetNode::SkipNetNode(Transport* transport, RpcNode* rpc, std::string name, N
       numeric_(numeric),
       config_(config),
       table_(self_.name, config.table),
-      pings_(transport, config.ping_period, config.ping_timeout, config.coalesce_pings) {
+      pings_(transport, config.ping_period, config.ping_timeout) {
   transport_->RegisterHandler(msgtype::kOverlayRouted,
                               [this](const WireMessage& m) { HandleRouted(m); });
   transport_->RegisterHandler(msgtype::kOverlayJoinSearchReply,

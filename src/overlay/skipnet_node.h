@@ -44,11 +44,8 @@ struct SkipNetConfig {
   // When false, liveness pinging must be started explicitly (the cluster
   // harness defers it until the whole overlay is built).
   bool start_maintenance_on_join = true;
-  // Batch all of a node's periodic pings behind one timer pair instead of
-  // two timers per neighbor (see PingManager). Off by default: flipping it
-  // changes the schedule, and the blessed deterministic traces were recorded
-  // without it. Large-scale benches turn it on.
-  bool coalesce_pings = false;
+  // Ignored (pings are always coalesced); kept until perfbench/ stops assigning it.
+  bool coalesce_pings = true;
 };
 
 class SkipNetNode {

@@ -98,6 +98,13 @@ class Deployment {
   // True when time is simulated (waits are exact and free).
   virtual bool virtual_time() const = 0;
 
+  // Livelock guard for simulated time (see EventQueue::SetStallLimit): once
+  // `events` events in a row run at one instant the engine stops running
+  // events, and StalledAt() returns that instant (TimePoint::Max() until
+  // then). Wall-clock backends ignore it.
+  virtual void SetStallLimit(uint64_t /*events*/) {}
+  virtual TimePoint StalledAt() const { return TimePoint::Max(); }
+
   // Quiesces the backend ahead of harness teardown: after this returns, no
   // protocol code runs concurrently (the live runtime stops and joins its
   // loop thread; the sim — already quiescent between Run*/Advance calls —
@@ -165,6 +172,8 @@ class ClusterHarness {
   }
   void ApplyFaults(const std::function<void(FaultInjector&)>& fn) { deploy_->ApplyFaults(fn); }
   bool virtual_time() const { return deploy_->virtual_time(); }
+  void SetStallLimit(uint64_t events) { deploy_->SetStallLimit(events); }
+  TimePoint StalledAt() const { return deploy_->StalledAt(); }
 
   // --- failure injection ---
   // Fail-stop crash: the node loses all state and stops participating.

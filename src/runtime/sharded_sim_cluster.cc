@@ -56,6 +56,8 @@ class ShardedDeployment : public Deployment {
     return sim_.RunUntilCondition(pred, sim_.Now() + bound);
   }
   bool virtual_time() const override { return true; }
+  void SetStallLimit(uint64_t events) override { sim_.SetStallLimit(events); }
+  TimePoint StalledAt() const override { return sim_.StalledAt(); }
 
   // Harness upcalls issued from protocol code run on whichever shard owns the
   // calling host; defer them to the control thread's barrier replay. Calls

@@ -48,6 +48,8 @@ class SimDeployment : public Deployment {
     return sim_.RunUntilCondition(pred, sim_.Now() + bound);
   }
   bool virtual_time() const override { return true; }
+  void SetStallLimit(uint64_t events) override { sim_.queue().SetStallLimit(events); }
+  TimePoint StalledAt() const override { return sim_.queue().stalled_at(); }
 
   const ClusterConfig& config() const { return config_; }
   Simulation& sim() { return sim_; }

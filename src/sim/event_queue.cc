@@ -226,7 +226,21 @@ void EventQueue::PopAndRun() {
   ReleaseEvent(top.ref.index);
   --live_count_;
   ++executed_;
+  if (executed_ >= stall_check_at_ && !StallCheck()) {
+    return;
+  }
   fn();
+}
+
+bool EventQueue::StallCheck() {
+  if (stalled_at_ == TimePoint::Max() && now_ != stall_check_time_) {
+    stall_check_time_ = now_;
+    stall_check_at_ = executed_ + stall_limit_;
+    return true;
+  }
+  // Stalled. stall_check_at_ stays behind, so every later event lands here.
+  stalled_at_ = std::min(stalled_at_, now_);
+  return false;
 }
 
 bool EventQueue::RunOne() {

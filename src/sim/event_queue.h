@@ -91,12 +91,25 @@ class EventQueue {
   // between run calls.
   TimePoint NextEventTime();
 
+  // Livelock guard. Once `events` events in a row run without the clock
+  // advancing, the queue is stalled: from then on it drains events without
+  // running them, so every run call returns and the caller can report the
+  // hang. Checked once per `events` events, so a stall is detected within
+  // 2 * `events`. Off (unlimited) by default.
+  void SetStallLimit(uint64_t events) {
+    stall_limit_ = events;
+    stall_check_at_ = executed_ + events;
+    stall_check_time_ = now_;
+  }
+  // The instant the queue stalled at, or TimePoint::Max() if it has not.
+  TimePoint stalled_at() const { return stalled_at_; }
+
   bool Empty() const { return live_count_ == 0; }
   size_t PendingCount() const { return live_count_; }
   uint64_t ExecutedCount() const { return executed_; }
 
-  // Introspection counters for timer-pressure reporting (scale benches
-  // compare these before/after ping coalescing).
+  // Introspection counters for timer-pressure reporting (the scale benches
+  // print them).
   struct Stats {
     uint64_t scheduled = 0;  // total ScheduleAt/After calls ever
     uint64_t executed = 0;   // total events fired
@@ -189,6 +202,8 @@ class EventQueue {
   bool FillDue();
   // Pops and runs the due heap's top entry.
   void PopAndRun();
+  // Returns whether the event just popped may run (see SetStallLimit).
+  bool StallCheck();
 
   // Event pool + free list.
   std::vector<Event> pool_;
@@ -217,6 +232,10 @@ class EventQueue {
   uint64_t executed_ = 0;
   uint64_t scheduled_ = 0;
   uint64_t cancelled_ = 0;
+  uint64_t stall_limit_ = UINT64_MAX;
+  uint64_t stall_check_at_ = UINT64_MAX;  // executed_ count of the next check
+  TimePoint stall_check_time_;            // clock at the previous check
+  TimePoint stalled_at_ = TimePoint::Max();
 };
 
 }  // namespace fuse

@@ -264,6 +264,21 @@ bool ShardedSim::RunUntilCondition(const std::function<bool()>& pred, TimePoint 
   return RunCore(pred, deadline);
 }
 
+void ShardedSim::SetStallLimit(uint64_t events) {
+  control_queue_.SetStallLimit(events);
+  for (auto& s : shards_) {
+    s->queue().SetStallLimit(events);
+  }
+}
+
+TimePoint ShardedSim::StalledAt() const {
+  TimePoint at = control_queue_.stalled_at();
+  for (const auto& s : shards_) {
+    at = std::min(at, s->queue().stalled_at());
+  }
+  return at;
+}
+
 uint64_t ShardedSim::TotalExecuted() const {
   uint64_t total = control_queue_.ExecutedCount();
   for (const auto& s : shards_) {

@@ -85,6 +85,11 @@ class ShardedSim : public Environment {
   // bounded by the lookahead, which is far below protocol timescales.
   bool RunUntilCondition(const std::function<bool()>& pred, TimePoint deadline);
 
+  // EventQueue::SetStallLimit on the control queue and every shard queue;
+  // StalledAt is the earliest instant any of them stalled at (or Max).
+  void SetStallLimit(uint64_t events);
+  TimePoint StalledAt() const;
+
   // Aggregate observability across the control queue and every shard.
   uint64_t TotalExecuted() const;
   size_t TotalPending() const;

@@ -27,6 +27,7 @@ class Simulation : public Environment {
   Metrics& metrics() override { return metrics_; }
 
   EventQueue& queue() { return queue_; }
+  const EventQueue& queue() const { return queue_; }
 
   void RunFor(Duration d) { queue_.RunFor(d); }
   void RunUntil(TimePoint t) { queue_.RunUntil(t); }

@@ -10,10 +10,12 @@
 namespace fuse {
 namespace {
 
-FuzzRunResult Replay(const std::string& text) {
+FuzzRunResult Replay(const std::string& text, int num_shards = 0) {
   FaultSchedule s;
   EXPECT_TRUE(FaultSchedule::FromText(text, &s));
-  return RunSchedule(s);
+  FuzzRunOptions options;
+  options.num_shards = num_shards;
+  return RunSchedule(s, options);
 }
 
 // Crash with an instant restart: the fresh incarnation's join search used to
@@ -105,6 +107,35 @@ TEST(FuzzRegressionTest, NeedRepairSwallowedByInFlightRound) {
       "param=0.87521573991814261 group=-\n"
       "crash at_us=184212150 a=3 b=0 dur_us=0 param=0 group=-\n");
   EXPECT_TRUE(r.ok()) << r.log_line << (r.violations.empty() ? "" : "\n  " + r.violations[0]);
+}
+
+// Fuzzer seed 69 never finished on either engine once pings were coalesced:
+// node 1 runs its timers at 1.46x, so the shared ping-timeout timer fired
+// before the deadline it was armed for, found the peer not yet due, and
+// re-armed for the remaining `deadline - now`, scaled again by 1/1.46. The
+// remainder shrank to 1 us, which scales to 0 us, and the timer re-fired at
+// one instant forever. Fixed in PingManager::OnRoundTimeout (and the same
+// re-arm in FuseNode's peer sweep): a fire is the verdict for the deadline it
+// was armed for. The oracle now also reports such a hang as a `livelock`
+// violation instead of hanging.
+constexpr char kSeed69[] =
+    "fuse-fuzz-schedule v1\n"
+    "seed 69\n"
+    "nodes 6\n"
+    "groups 2\n"
+    "clock_skew at_us=4240295 a=1 b=0 dur_us=0 param=1.4616020063517645 group=-\n"
+    "reorder_jitter at_us=19652534 a=4294967295 b=0 dur_us=0 param=237.66824469056618 "
+    "group=-\n"
+    "signal at_us=73794780 a=0 b=0 dur_us=0 param=0 group=-\n"
+    "partition at_us=121429540 a=0 b=0 dur_us=0 param=0 group=0,2,3,4,5\n"
+    "heal_partitions at_us=239567266 a=0 b=0 dur_us=0 param=0 group=-\n";
+
+TEST(FuzzRegressionTest, SkewedPingTimeoutLivelock) {
+  for (const int shards : {0, 4}) {
+    const FuzzRunResult r = Replay(kSeed69, shards);
+    EXPECT_TRUE(r.ok()) << "shards " << shards << ": " << r.log_line
+                        << (r.violations.empty() ? "" : "\n  " + r.violations[0]);
+  }
 }
 
 }  // namespace

@@ -91,6 +91,33 @@ TEST(FuzzRunnerTest, PlantedDuplicateWatchOnlyFiresWithANotification) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(FuzzRunnerTest, PlantedLivelockIsAViolationOnBothEngines) {
+  // A hang must come back as a verdict the shrinker can work with: once the
+  // planted spin freezes the clock, RunSchedule stops and reports it.
+  // The slow_host clause is removable noise the shrinker must strip.
+  FaultSchedule s;
+  ASSERT_TRUE(FaultSchedule::FromText("fuse-fuzz-schedule v1\nseed 3\nnodes 6\ngroups 1\n"
+                                      "slow_host at_us=0 a=4 b=0 dur_us=0 param=500 group=-\n"
+                                      "signal at_us=10000000 a=0 b=0 dur_us=0 param=0 group=-\n",
+                                      &s));
+  for (const int shards : {0, 4}) {
+    FuzzRunOptions opts;
+    opts.plant_livelock = true;
+    opts.num_shards = shards;
+    const FuzzRunResult r = RunSchedule(s, opts);
+    ASSERT_EQ(r.violations.size(), 1u) << "shards " << shards << ": " << r.log_line;
+    EXPECT_EQ(r.violations[0].rfind("livelock: ", 0), 0u) << r.violations[0];
+
+    const auto still_fails = [&opts](const FaultSchedule& c) {
+      const FuzzRunResult cr = RunSchedule(c, opts);
+      return !cr.ok() && cr.violations[0].rfind("livelock: ", 0) == 0;
+    };
+    const FaultSchedule min = ShrinkSchedule(s, still_fails);
+    ASSERT_EQ(min.clauses.size(), 1u) << min.ToText();
+    EXPECT_EQ(min.clauses[0].op, FaultOp::kSignalFailure);
+  }
+}
+
 TEST(FuzzRunnerTest, ShardedVerdictIndependentOfThreadCount) {
   // The sharded backend must grade a schedule identically no matter how many
   // worker threads execute it: same oracle verdict, same QoS counters, same

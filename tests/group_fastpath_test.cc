@@ -1,12 +1,11 @@
-// Group fast-path tests (FuseParams::incremental_link_digest /
-// coalesce_group_timers) and the GroupService facade.
+// Group liveness tests (incremental link digests, coalesced group timers)
+// and the GroupService facade.
 //
-// The digest mode's contract is exact equivalence: the maintained
-// XOR-of-SHA1 digest is 20 bytes like the classic recomputed hash, so the
-// same schedule must produce byte-identical fuzz log lines. The coalesced
-// mode's contract is behavioral: detection may lag the classic per-link
-// timers by up to one sweep rescan, so verdicts must stay green but timing
-// may shift — which is why the two flags gate independently.
+// The maintained XOR-of-SHA1 digest is checked against a from-scratch
+// recompute (FuseNode::DebugVerifyLinkDigests) and its wire bytes are pinned
+// for a fixed ID set. The coalesced timers are checked behaviorally: armed
+// timers stay O(nodes), crashes are still detected exactly once, and a
+// skewed host's sweep delivers its verdict at timeout/rate without hanging.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sha1.h"
 #include "fuzz/fault_schedule.h"
 #include "fuzz/fuzz_runner.h"
 #include "runtime/sim_cluster.h"
@@ -22,14 +22,12 @@
 namespace fuse {
 namespace {
 
-ClusterConfig FastPathConfig(int n, uint64_t seed, bool digest, bool coalesce) {
+ClusterConfig FastPathConfig(int n, uint64_t seed) {
   ClusterConfig cfg;
   cfg.num_nodes = n;
   cfg.seed = seed;
   cfg.topology.num_as = 60;
   cfg.cost = CostModel::Simulator();
-  cfg.fuse.incremental_link_digest = digest;
-  cfg.fuse.coalesce_group_timers = coalesce;
   return cfg;
 }
 
@@ -66,7 +64,7 @@ void ExpectDigestsVerify(SimCluster& cluster) {
 // node's maintained per-peer digest must equal a from-scratch recompute of
 // XOR(SHA-1(id)) over its live link set.
 TEST(IncrementalDigestTest, MatchesRecomputeUnderRandomChurn) {
-  SimCluster cluster(FastPathConfig(12, 501, /*digest=*/true, /*coalesce=*/false));
+  SimCluster cluster(FastPathConfig(12, 501));
   cluster.Build();
   Rng rng(0xd1685u);
   std::vector<FuseId> live;
@@ -96,30 +94,32 @@ TEST(IncrementalDigestTest, MatchesRecomputeUnderRandomChurn) {
   ExpectDigestsVerify(cluster);
 }
 
-// The digest changes which bytes ride the pings but not how many, so the
-// whole fuzz-oracle run — verdict, QoS counters, detection latencies, all
-// folded into the deterministic log line — must match classic byte-for-byte.
-TEST(IncrementalDigestTest, FuzzLogLinesMatchClassicByteForByte) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    const FaultSchedule s = GenerateSchedule(seed);
-    FuzzRunOptions classic;
-    FuzzRunOptions digest;
-    digest.incremental_link_digest = true;
-    const FuzzRunResult rc = RunSchedule(s, classic);
-    const FuzzRunResult rd = RunSchedule(s, digest);
-    EXPECT_EQ(rc.log_line, rd.log_line) << "seed " << seed;
-    EXPECT_EQ(rc.violations, rd.violations) << "seed " << seed;
+// The digest is the 20 bytes piggybacked on every overlay ping, so its
+// encoding is wire format: XOR over the set of SHA-1(hi || lo), both halves
+// big-endian. Pinned for a fixed ID set; XOR-ing an ID again removes it.
+TEST(IncrementalDigestTest, WireDigestPinnedForFixedIdSet) {
+  const FuseId ids[] = {{1, 2},
+                        {0x0123456789abcdefULL, 0xfedcba9876543210ULL},
+                        {0xdeadbeefcafef00dULL, 1}};
+  Sha1Digest digest{};
+  for (const FuseId& id : ids) {
+    FuseNode::XorInto(digest, id);
   }
+  EXPECT_EQ(Sha1::ToHex(digest), "04a1773bfce502c5a183f6ca93e8963a31bf8c3f");
+  FuseNode::XorInto(digest, ids[1]);
+  FuseNode::XorInto(digest, ids[2]);
+  // Back to SHA-1 over {1, 2} alone.
+  EXPECT_EQ(Sha1::ToHex(digest), "869b3badfbf1d6b744486bbc536272b8e85d8cc2");
 }
 
-// Coalesced mode keeps the oracle green: timing may shift by a sweep rescan,
-// which is within the oracle's detection windows.
+// The fuzz sweep on the sharded engine (FuzzSmokeTest covers the classic
+// one): detection timing shifts by up to a sweep rescan, which is within the
+// oracle's windows.
 TEST(CoalescedTimersTest, FuzzVerdictsStayGreen) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const FaultSchedule s = GenerateSchedule(seed);
     FuzzRunOptions opts;
-    opts.incremental_link_digest = true;
-    opts.coalesce_group_timers = true;
+    opts.num_shards = 4;
     const FuzzRunResult r = RunSchedule(s, opts);
     EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.log_line;
   }
@@ -129,7 +129,7 @@ TEST(CoalescedTimersTest, FuzzVerdictsStayGreen) {
 // many groups exist, and a real crash is still detected by every surviving
 // member exactly once.
 TEST(CoalescedTimersTest, ArmedTimersStayFlatAndCrashIsDetected) {
-  SimCluster cluster(FastPathConfig(16, 502, /*digest=*/true, /*coalesce=*/true));
+  SimCluster cluster(FastPathConfig(16, 502));
   cluster.Build();
 
   struct Group {
@@ -152,9 +152,9 @@ TEST(CoalescedTimersTest, ArmedTimersStayFlatAndCrashIsDetected) {
     armed += cluster.node(i).fuse()->CountArmedGroupTimers();
     live_groups += cluster.node(i).fuse()->NumLiveGroups();
   }
-  // 60 groups x 3 members (plus delegates) hold hundreds of group records;
-  // classic mode arms 2+ timers per (group, link). Coalesced: at most the
-  // one sweep timer per node plus transient repair state.
+  // 60 groups x 3 members (plus delegates) hold hundreds of group records,
+  // yet at most the one sweep timer per node plus transient repair state is
+  // armed.
   EXPECT_GE(live_groups, 180u);
   EXPECT_LE(armed, 2 * cluster.size()) << "timers not coalesced";
 
@@ -200,7 +200,7 @@ TEST(CoalescedTimersTest, ArmedTimersStayFlatAndCrashIsDetected) {
 // After every group is gone the sweep disarms itself: a node with no
 // monitored links holds zero armed FUSE timers.
 TEST(CoalescedTimersTest, SweepDisarmsWhenIdle) {
-  SimCluster cluster(FastPathConfig(10, 503, /*digest=*/true, /*coalesce=*/true));
+  SimCluster cluster(FastPathConfig(10, 503));
   cluster.Build();
   std::vector<FuseId> ids;
   std::vector<std::vector<size_t>> member_sets;
@@ -225,8 +225,42 @@ TEST(CoalescedTimersTest, SweepDisarmsWhenIdle) {
   }
 }
 
+// A host with a fast clock (rate 2) scales every timer delay by 1/2. Its
+// peer sweep must deliver the stale-link verdict at link_liveness_timeout / 2
+// after the last refresh: the fire is the verdict for the deadline it was
+// armed for; judged by Now(), the link would look not yet stale at every
+// fire and the sweep would re-arm for half the remainder until it hit 0 us.
+TEST(CoalescedTimersTest, SkewedSweepTearsDownStaleLinkAtTimeoutOverRate) {
+  SimCluster cluster(FastPathConfig(8, 506));
+  cluster.Build();
+  cluster.sim().queue().SetStallLimit(100000);
+  const size_t root = 2;
+  FuseNode* root_fuse = cluster.node(root).fuse();
+  // The root never hears its peers' digests, so nothing refreshes its links;
+  // its own pings (and so its peers' view of the group) continue.
+  cluster.net().faults().SetClockRate(cluster.node(root).host(), 2.0);
+  cluster.node(root).overlay()->SetPingPayloadObserver(nullptr);
+
+  bool done = false;
+  Status status;
+  root_fuse->CreateGroup(cluster.RefsOf({root, 5}), [&](const Status& s, FuseId) {
+    status = s;
+    done = true;
+  });
+  ASSERT_TRUE(cluster.sim().RunUntilCondition(
+      [&] { return root_fuse->NumMonitoredLinks() > 0; },
+      cluster.sim().Now() + Duration::Minutes(1)));
+  const TimePoint installed = cluster.sim().Now();
+  EXPECT_TRUE(cluster.sim().RunUntilCondition(
+      [&] { return root_fuse->NumMonitoredLinks() == 0; },
+      installed + Duration::Minutes(2)));
+  EXPECT_EQ(cluster.sim().queue().stalled_at(), TimePoint::Max()) << "sweep livelocked";
+  EXPECT_TRUE(done && status.ok());
+  EXPECT_EQ(cluster.sim().Now() - installed, FuseParams().link_liveness_timeout / 2);
+}
+
 TEST(GroupServiceTest, CreateDrainWatchSignalRoundTrip) {
-  SimCluster cluster(FastPathConfig(8, 504, /*digest=*/true, /*coalesce=*/true));
+  SimCluster cluster(FastPathConfig(8, 504));
   cluster.Build();
   GroupServiceOptions opts;
   opts.max_inflight_creates = 64;
@@ -266,7 +300,7 @@ TEST(GroupServiceTest, CreateDrainWatchSignalRoundTrip) {
 }
 
 TEST(GroupServiceTest, CreateAgainstCrashedMemberCountsAsFailed) {
-  SimCluster cluster(FastPathConfig(8, 505, /*digest=*/true, /*coalesce=*/true));
+  SimCluster cluster(FastPathConfig(8, 505));
   cluster.Build();
   cluster.Crash(5);
   GroupService svc(cluster);

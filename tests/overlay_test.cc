@@ -267,75 +267,63 @@ TEST(PingManagerTest, SlowRepliesWithTimeoutLongerThanPeriod) {
 }
 
 TEST(PingManagerTest, CoalescedRoundsDetectCrashWithoutFalsePositives) {
-  // Coalesced mode: one batch timer plus one shared timeout timer. The shared
+  // One batch timer plus one shared timeout timer per node. The shared
   // timer must deliver each peer's verdict at that peer's own deadline: here
   // the crashed peer is armed once and never disarmed, while the live peer
   // (replying every round, timeout > period so rounds overlap) keeps
   // acquiring later deadlines — so when the dead peer's verdict fires, the
   // timer must re-arm for the live peer's future deadline instead of failing
   // it early or going quiet.
-  Simulation sim(11);
-  TopologyConfig tcfg;
-  tcfg.num_as = 20;
-  SimNetwork net(Topology::Generate(tcfg, sim.rng()));
-  const HostId a = net.AddHost(sim.rng());
-  const HostId b = net.AddHost(sim.rng());
-  const HostId c = net.AddHost(sim.rng());
-  SimFabric fabric(sim, net, CostModel::Simulator());
+  // At clock rate 2 (every timer delay on the pinger's host halved) each
+  // verdict must land timeout/2 after its round, without the shared timer
+  // re-firing at one instant.
+  for (const double rate : {1.0, 2.0}) {
+    SCOPED_TRACE(rate);
+    Simulation sim(11);
+    sim.queue().SetStallLimit(100000);
+    TopologyConfig tcfg;
+    tcfg.num_as = 20;
+    SimNetwork net(Topology::Generate(tcfg, sim.rng()));
+    const HostId a = net.AddHost(sim.rng());
+    const HostId b = net.AddHost(sim.rng());
+    const HostId c = net.AddHost(sim.rng());
+    SimFabric fabric(sim, net, CostModel::Simulator());
+    net.faults().SetClockRate(a, rate);
 
-  const Duration period = Duration::Millis(200);
-  const Duration timeout = Duration::Seconds(3);
-  PingManager pinger(fabric.TransportFor(a), period, timeout, /*coalesce=*/true);
-  PingManager replier_b(fabric.TransportFor(b), period, timeout);
-  PingManager replier_c(fabric.TransportFor(c), period, timeout);
-  std::vector<HostId> failed;
-  pinger.SetFailureHandler([&](HostId h) { failed.push_back(h); });
-  pinger.UpdateNeighbors({b, c});
-  pinger.Start();
+    const Duration period = Duration::Millis(200);
+    const Duration timeout = Duration::Seconds(3);
+    PingManager pinger(fabric.TransportFor(a), period, timeout);
+    PingManager replier_b(fabric.TransportFor(b), period, timeout);
+    PingManager replier_c(fabric.TransportFor(c), period, timeout);
+    std::vector<std::pair<HostId, TimePoint>> failed;
+    pinger.SetFailureHandler([&](HostId h) { failed.emplace_back(h, sim.Now()); });
+    pinger.UpdateNeighbors({b, c});
+    pinger.Start();
 
-  // Both peers live: rounds come and go, nobody fails.
-  sim.RunFor(Duration::Seconds(10));
-  EXPECT_TRUE(failed.empty()) << "live peer declared failed in coalesced mode";
+    // Both peers live: rounds come and go, nobody fails.
+    sim.RunFor(Duration::Seconds(10));
+    EXPECT_TRUE(failed.empty()) << "live peer declared failed";
 
-  // Crash b; c keeps replying. Exactly b must fail, within timeout + one
-  // period (+ delivery slack) of its first unanswered round.
-  fabric.CrashHost(b);
-  sim.RunFor(timeout + Duration::Seconds(2));
-  ASSERT_EQ(failed.size(), 1u);
-  EXPECT_EQ(failed[0], b);
+    // Crash b; c keeps replying. Exactly b must fail, one timeout (on the
+    // pinger's clock) after its first unanswered round, which leaves within
+    // one period of the crash.
+    const TimePoint crashed = sim.Now();
+    fabric.CrashHost(b);
+    sim.RunFor(timeout + Duration::Seconds(2));
+    ASSERT_EQ(sim.queue().stalled_at(), TimePoint::Max()) << "round timeout livelocked";
+    ASSERT_EQ(failed.size(), 1u);
+    EXPECT_EQ(failed[0].first, b);
+    const Duration latency = (failed[0].second - crashed) * rate;
+    EXPECT_GE(latency, timeout - period);
+    EXPECT_LE(latency, timeout + period);
 
-  // The shared timer must still be tracking c: crash it and the (re-armed)
-  // deadline chain must deliver its verdict too.
-  fabric.CrashHost(c);
-  sim.RunFor(timeout + Duration::Seconds(2));
-  ASSERT_EQ(failed.size(), 2u);
-  EXPECT_EQ(failed[1], c);
-}
-
-TEST(OverlayClusterTest, CoalescedPingFailureDetectionRemovesCrashedNeighbor) {
-  // Full-cluster version of PingFailureDetectionRemovesCrashedNeighbor with
-  // batched pings: detection latency and repair must survive the phasing
-  // change (all of a node's pings leave together once per period).
-  ClusterConfig cfg = SmallConfig(24, 9);
-  cfg.overlay.coalesce_pings = true;
-  SimCluster cluster(cfg);
-  cluster.Build();
-  const size_t victim = 3;
-  const HostId victim_host = cluster.node(victim).host();
-  std::vector<size_t> observers;
-  for (size_t i = 0; i < cluster.size(); ++i) {
-    if (i != victim && cluster.node(i).overlay()->table().HasNeighbor(victim_host)) {
-      observers.push_back(i);
-    }
+    // The shared timer must still be tracking c: crash it and the (re-armed)
+    // deadline chain must deliver its verdict too.
+    fabric.CrashHost(c);
+    sim.RunFor(timeout + Duration::Seconds(2));
+    ASSERT_EQ(failed.size(), 2u);
+    EXPECT_EQ(failed[1].first, c);
   }
-  ASSERT_FALSE(observers.empty());
-  cluster.Crash(victim);
-  cluster.sim().RunFor(Duration::Seconds(200));
-  for (size_t i : observers) {
-    EXPECT_FALSE(cluster.node(i).overlay()->table().HasNeighbor(victim_host))
-        << "observer " << i << " still references the crashed node";
-  }
-  EXPECT_EQ(cluster.CountRingViolations(), 0) << "ring did not heal with coalesced pings";
 }
 
 TEST(OverlayClusterTest, PingFailureDetectionRemovesCrashedNeighbor) {
@@ -353,12 +341,14 @@ TEST(OverlayClusterTest, PingFailureDetectionRemovesCrashedNeighbor) {
   ASSERT_FALSE(observers.empty());
   cluster.Crash(victim);
   // Within ping period + timeout (+ slack), every observer notices and
-  // removes the dead neighbor.
+  // removes the dead neighbor, and the ring heals around it — even though
+  // each node's pings leave together in one batch per period.
   cluster.sim().RunFor(Duration::Seconds(200));
   for (size_t i : observers) {
     EXPECT_FALSE(cluster.node(i).overlay()->table().HasNeighbor(victim_host))
         << "observer " << i << " still references the crashed node";
   }
+  EXPECT_EQ(cluster.CountRingViolations(), 0) << "ring did not heal";
 }
 
 TEST(OverlayClusterTest, RingHealsAfterCrash) {

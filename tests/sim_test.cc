@@ -1,6 +1,7 @@
 // Unit tests for the discrete event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -184,6 +185,30 @@ TEST(EventQueueTest, SameTimeOrderSurvivesLevelPromotion) {
   q.ScheduleAt(t, [&] { order.push_back(3); });
   q.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, StallLimitDrainsASameInstantLivelock) {
+  // A callback that re-arms itself with zero delay never lets the clock
+  // advance. Past the stall limit the queue stops running events, records
+  // the instant, and RunUntil returns instead of spinning forever.
+  EventQueue q;
+  q.SetStallLimit(1000);
+  EXPECT_EQ(q.stalled_at(), TimePoint::Max());
+  int runs = 0;
+  bool later_ran = false;
+  std::function<void()> spin = [&] {
+    ++runs;
+    q.ScheduleAfter(Duration::Zero(), [&] { spin(); });
+  };
+  q.ScheduleAfter(Duration::Millis(5), [&] { spin(); });
+  q.ScheduleAfter(Duration::Millis(9), [&] { later_ran = true; });
+  q.RunUntil(TimePoint::FromMicros(20000));
+  EXPECT_EQ(q.stalled_at(), TimePoint::FromMicros(5000));
+  EXPECT_GE(runs, 1000);
+  EXPECT_LE(runs, 2000);
+  EXPECT_FALSE(later_ran) << "a stalled queue must not run later events";
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.Now(), TimePoint::FromMicros(20000));
 }
 
 TEST(TimerTest, FiresOnceAndAutoCancelsOnDestruction) {
