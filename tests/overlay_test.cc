@@ -351,6 +351,34 @@ TEST(OverlayClusterTest, PingFailureDetectionRemovesCrashedNeighbor) {
   EXPECT_EQ(cluster.CountRingViolations(), 0) << "ring did not heal";
 }
 
+TEST(OverlayClusterTest, CoalescedPingFailureDetectionRemovesCrashedNeighbor) {
+  // Batched pings keep the per-peer detection bound: the victim's first
+  // unanswered round leaves within one period of the crash and its verdict
+  // lands one timeout after that round, so every observer has dropped the
+  // dead neighbor by period + timeout (+ delivery slack), not merely
+  // "eventually".
+  const ClusterConfig cfg = SmallConfig(24, 9);
+  SimCluster cluster(cfg);
+  cluster.Build();
+  const size_t victim = 3;
+  const HostId victim_host = cluster.node(victim).host();
+  std::vector<size_t> observers;
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    if (i != victim && cluster.node(i).overlay()->table().HasNeighbor(victim_host)) {
+      observers.push_back(i);
+    }
+  }
+  ASSERT_FALSE(observers.empty());
+  cluster.Crash(victim);
+  cluster.sim().RunFor(cfg.overlay.ping_period + cfg.overlay.ping_timeout + Duration::Seconds(1));
+  for (size_t i : observers) {
+    EXPECT_FALSE(cluster.node(i).overlay()->table().HasNeighbor(victim_host))
+        << "observer " << i << " missed the period + timeout detection bound";
+  }
+  cluster.sim().RunFor(Duration::Seconds(120));
+  EXPECT_EQ(cluster.CountRingViolations(), 0) << "ring did not heal with coalesced pings";
+}
+
 TEST(OverlayClusterTest, RingHealsAfterCrash) {
   SimCluster cluster(SmallConfig(24, 10));
   cluster.Build();
