@@ -1,9 +1,11 @@
 #include "fuzz/fault_schedule.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 
 namespace fuse {
@@ -30,7 +32,12 @@ constexpr OpNameEntry kOpNames[] = {
     {FaultOp::kClockSkew, "clock_skew"},
     {FaultOp::kReorderJitter, "reorder_jitter"},
     {FaultOp::kSignalFailure, "signal"},
+    {FaultOp::kCrashMachine, "crash_machine"},
+    {FaultOp::kChurnStart, "churn_start"},
+    {FaultOp::kChurnStop, "churn_stop"},
 };
+
+constexpr const char* kExpectNames[] = {"auto", "must-fire", "silent"};
 
 bool OpFromName(const char* name, FaultOp* out) {
   for (const auto& e : kOpNames) {
@@ -42,7 +49,97 @@ bool OpFromName(const char* name, FaultOp* out) {
   return false;
 }
 
+bool ExpectFromName(const char* name, GroupExpect* out) {
+  for (size_t i = 0; i < std::size(kExpectNames); ++i) {
+    if (std::strcmp(kExpectNames[i], name) == 0) {
+      *out = static_cast<GroupExpect>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+void AppendIndexList(const std::vector<uint32_t>& list, std::string* s) {
+  if (list.empty()) {
+    *s += '-';
+    return;
+  }
+  char num[16];
+  for (size_t i = 0; i < list.size(); ++i) {
+    if (i > 0) {
+      *s += ',';
+    }
+    std::snprintf(num, sizeof(num), "%u", list[i]);
+    *s += num;
+  }
+}
+
+// Parses the rest of a line: "-" (empty) or a comma-separated list of node
+// indices of any length.
+bool ParseIndexList(const char* p, std::vector<uint32_t>* out) {
+  if (std::strcmp(p, "-") == 0) {
+    return true;
+  }
+  while (true) {
+    // strtoul would also take a sign or leading blanks: only digits count.
+    if (std::isdigit(static_cast<unsigned char>(*p)) == 0) {
+      return false;
+    }
+    char* end = nullptr;
+    const unsigned long v = std::strtoul(p, &end, 10);
+    if (v > UINT32_MAX) {
+      return false;
+    }
+    out->push_back(static_cast<uint32_t>(v));
+    if (*end == '\0') {
+      return true;
+    }
+    if (*end != ',') {
+      return false;
+    }
+    p = end + 1;
+  }
+}
+
+// `group <expect> <m,m,...>`: a non-empty member list without duplicates.
+bool ParseGroupLine(const std::string& line, GroupSpec* out) {
+  char expect[16];
+  int list_at = 0;
+  if (std::sscanf(line.c_str(), "group %15s %n", expect, &list_at) != 1 || list_at == 0 ||
+      !ExpectFromName(expect, &out->expect) || line.compare(list_at, std::string::npos, "-") == 0 ||
+      !ParseIndexList(line.c_str() + list_at, &out->members)) {
+    return false;
+  }
+  std::vector<uint32_t> sorted = out->members;
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
+// Operand rules for the ops the generator never draws: a machine crash
+// names one machine, churn names a non-empty node range with positive mean
+// up/down times, churn_stop takes nothing; setup clauses run untimed.
+bool ClauseWellFormed(const FaultClause& c) {
+  if (c.setup && c.at_us != 0) {
+    return false;
+  }
+  switch (c.op) {
+    case FaultOp::kCrashMachine:
+      return c.b == 0 && c.dur_us == 0 && c.param == 0.0 && c.group.empty();
+    case FaultOp::kChurnStart:
+      return c.b >= 1 && c.dur_us > 0 && c.param > 0.0 && c.group.empty();
+    case FaultOp::kChurnStop:
+      return c.a == 0 && c.b == 0 && c.dur_us == 0 && c.param == 0.0 && c.group.empty();
+    default:
+      return true;
+  }
+}
+
 }  // namespace
+
+const char* GroupExpectName(GroupExpect e) {
+  const size_t i = static_cast<size_t>(e);
+  return i < std::size(kExpectNames) ? kExpectNames[i] : "unknown";
+}
 
 const char* FaultOpName(FaultOp op) {
   for (const auto& e : kOpNames) {
@@ -59,22 +156,20 @@ std::string FaultSchedule::ToText() const {
   std::snprintf(line, sizeof(line), "fuse-fuzz-schedule v1\nseed %" PRIu64 "\nnodes %d\ngroups %d\n",
                 seed, num_nodes, num_groups);
   s += line;
+  for (const GroupSpec& g : explicit_groups) {
+    s += "group ";
+    s += GroupExpectName(g.expect);
+    s += ' ';
+    AppendIndexList(g.members, &s);
+    s += '\n';
+  }
   for (const FaultClause& c : clauses) {
     std::snprintf(line, sizeof(line),
-                  "%s at_us=%" PRId64 " a=%u b=%u dur_us=%" PRId64 " param=%.17g group=",
-                  FaultOpName(c.op), c.at_us, c.a, c.b, c.dur_us, c.param);
+                  "%s%s at_us=%" PRId64 " a=%u b=%u dur_us=%" PRId64 " param=%.17g group=",
+                  c.setup ? "setup " : "", FaultOpName(c.op), c.at_us, c.a, c.b, c.dur_us,
+                  c.param);
     s += line;
-    if (c.group.empty()) {
-      s += '-';
-    } else {
-      for (size_t i = 0; i < c.group.size(); ++i) {
-        if (i > 0) {
-          s += ',';
-        }
-        std::snprintf(line, sizeof(line), "%u", c.group[i]);
-        s += line;
-      }
-    }
+    AppendIndexList(c.group, &s);
     s += '\n';
   }
   return s;
@@ -99,35 +194,33 @@ bool FaultSchedule::FromText(const std::string& text, FaultSchedule* out) {
     return false;
   }
   while (std::getline(in, line)) {
+    line.erase(line.find_last_not_of(" \t\r") + 1);
     if (line.empty()) {
       continue;
     }
-    FaultClause c;
-    char opname[32];
-    char grouplist[160];
-    const int n = std::sscanf(line.c_str(),
-                              "%31s at_us=%" SCNd64 " a=%u b=%u dur_us=%" SCNd64
-                              " param=%lg group=%159s",
-                              opname, &c.at_us, &c.a, &c.b, &c.dur_us, &c.param, grouplist);
-    if (n != 7 || !OpFromName(opname, &c.op)) {
-      return false;
-    }
-    if (std::strcmp(grouplist, "-") != 0) {
-      const char* p = grouplist;
-      while (*p != '\0') {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p) {
-          return false;
-        }
-        c.group.push_back(static_cast<uint32_t>(v));
-        p = end;
-        if (*p == ',') {
-          ++p;
-        } else if (*p != '\0') {
-          return false;
-        }
+    if (line.rfind("group ", 0) == 0) {
+      GroupSpec g;
+      if (!ParseGroupLine(line, &g)) {
+        return false;
       }
+      s.explicit_groups.push_back(std::move(g));
+      continue;
+    }
+    FaultClause c;
+    const char* body = line.c_str();
+    if (line.rfind("setup ", 0) == 0) {
+      c.setup = true;
+      body += 6;
+    }
+    char opname[32];
+    int list_at = 0;
+    const int n = std::sscanf(body,
+                              "%31s at_us=%" SCNd64 " a=%u b=%u dur_us=%" SCNd64
+                              " param=%lg group=%n",
+                              opname, &c.at_us, &c.a, &c.b, &c.dur_us, &c.param, &list_at);
+    if (n != 6 || list_at == 0 || !OpFromName(opname, &c.op) ||
+        !ParseIndexList(body + list_at, &c.group) || !ClauseWellFormed(c)) {
+      return false;
     }
     s.clauses.push_back(std::move(c));
   }

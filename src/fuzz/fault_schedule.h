@@ -9,6 +9,12 @@
 // seed and replays byte-identically on the discrete-event simulator; the
 // text form round-trips exactly, so a failing schedule is a self-contained
 // repro file (`fuzz_schedules --replay <file>`).
+//
+// Hand-written schedules (runtime scenarios, see fuzz/scenario.h) may also
+// use what the generator never draws: machine crashes, churn start/stop,
+// `setup` clauses that run before the groups are created, and explicit
+// groups with fixed members and, where the oracle cannot derive it from the
+// clauses, a fixed expectation (`must-fire` or `silent`).
 #ifndef FUSE_FUZZ_FAULT_SCHEDULE_H_
 #define FUSE_FUZZ_FAULT_SCHEDULE_H_
 
@@ -35,6 +41,11 @@ enum class FaultOp : uint8_t {
   kClockSkew,       // a = node, param = timer rate (1.0 heals)
   kReorderJitter,   // a = node scope (kAllNodes = everyone), param = max ms
   kSignalFailure,   // a = group index (explicit application-level signal)
+  // Never drawn by GenerateSchedule:
+  kCrashMachine,    // a = machine index (every live co-hosted node at once)
+  kChurnStart,      // nodes [a, a+b) kill/restart cycle; dur = mean uptime,
+                    // param = mean downtime in ms
+  kChurnStop,       // ends the churn cycle (no operands)
 };
 
 // Scope operand meaning "every node" (loss bursts, reorder jitter).
@@ -50,26 +61,48 @@ struct FaultClause {
   int64_t dur_us = 0;  // window length for timed ops (loss bursts)
   double param = 0.0;  // probability / rate / extra delay in ms, per op
   std::vector<uint32_t> group;  // partition member indices
+  // Runs before the groups are created, in list order (at_us must be 0).
+  bool setup = false;
 
   bool operator==(const FaultClause&) const = default;
+};
+
+// What the oracle demands of an explicit group. kAuto derives it from the
+// executed clauses, exactly as for the seed-drawn groups.
+enum class GroupExpect : uint8_t { kAuto, kMustFire, kSilent };
+
+const char* GroupExpectName(GroupExpect e);
+
+struct GroupSpec {
+  std::vector<uint32_t> members;  // distinct node indices; members[0] is the root
+  GroupExpect expect = GroupExpect::kAuto;
+
+  bool operator==(const GroupSpec&) const = default;
 };
 
 struct FaultSchedule {
   uint64_t seed = 0;   // provenance + the run's derived rng seeds
   int num_nodes = 6;
-  int num_groups = 1;
+  int num_groups = 1;  // groups drawn from the seed
+  std::vector<GroupSpec> explicit_groups;  // appended after the drawn ones
   std::vector<FaultClause> clauses;  // sorted by at_us (stable)
 
   bool operator==(const FaultSchedule&) const = default;
 
-  // Exact, deterministic text form (one clause per line). FromText(ToText())
-  // reproduces the schedule field-for-field.
+  int total_groups() const { return num_groups + static_cast<int>(explicit_groups.size()); }
+
+  // Exact, deterministic text form (one group or clause per line).
+  // FromText(ToText()) reproduces the schedule field-for-field; FromText
+  // rejects malformed lines (unknown ops or expectations, empty or
+  // duplicate-member groups, operand-less churn or machine clauses, timed
+  // setup clauses).
   std::string ToText() const;
   static bool FromText(const std::string& text, FaultSchedule* out);
 };
 
 // Composes a random schedule from the weighted fault grammar. Same seed,
-// same schedule — the generator draws only from its own Rng(seed).
+// same schedule — the generator draws only from its own Rng(seed). It never
+// draws explicit groups, setup clauses, machine crashes or churn.
 FaultSchedule GenerateSchedule(uint64_t seed);
 
 }  // namespace fuse

@@ -8,17 +8,18 @@
 #include <set>
 
 #include "runtime/sharded_sim_cluster.h"
-#include "runtime/sim_cluster.h"
 
 namespace fuse {
 
 namespace {
 
 // Per-group observation state. Shared with the failure-watch closures, which
-// stay registered in the nodes for the cluster's whole lifetime.
+// stay registered in the nodes for the cluster's whole lifetime (on the
+// wall-clock backends the nodes keep running after RunSchedule returns).
 struct GroupObs {
   FuseId id;
   std::vector<size_t> members;
+  GroupExpect expect = GroupExpect::kAuto;
   bool created = false;
   std::map<size_t, int> fired;             // member -> notification count
   std::map<size_t, int64_t> first_fire_us; // member -> first notification time
@@ -39,31 +40,52 @@ void NoteTrigger(GroupObs& g, int64_t now_us) {
   }
 }
 
+// Definite create failures under adversity are retried this many times in
+// all, so a churned or lossy run still gets groups to grade.
+constexpr int kCreateAttemptsUnderFaults = 8;
+
 }  // namespace
 
+std::string FuzzRunResult::ToString() const {
+  std::string s = log_line;
+  if (creates_failed > 0) {
+    s += " creates_failed=" + std::to_string(creates_failed);
+  }
+  for (const std::string& v : violations) {
+    s += "\n  violation: " + v;
+  }
+  return s;
+}
+
 FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& options) {
+  ClusterConfig cfg;
+  cfg.num_nodes = std::max(schedule.num_nodes, 4);
+  cfg.seed = schedule.seed * 2654435761ULL + 0x9e3779b9ULL;
+  cfg.topology.num_as = 40;  // small physical topology: schedule throughput
+  cfg.cost = CostModel::Simulator();
+  cfg.num_shards = options.num_shards;
+  cfg.threads = options.threads;
+  const std::unique_ptr<ClusterHarness> cluster = MakeSimCluster(cfg);
+  cluster->SetStallLimit(kLivelockEvents);
+  cluster->Build();
+  return RunSchedule(*cluster, schedule, options);
+}
+
+FuzzRunResult RunSchedule(ClusterHarness& cluster, const FaultSchedule& schedule,
+                          const FuzzRunOptions& options) {
   FuzzRunResult res;
   char buf[192];
   auto violate = [&res, &buf](const char* fmt, auto... args) {
     std::snprintf(buf, sizeof(buf), fmt, args...);
     res.violations.emplace_back(buf);
   };
+  const OracleBounds& bounds = options.bounds;
+  const int n = static_cast<int>(cluster.size());
+  const auto nidx = [n](uint32_t v) { return v == kAllNodes ? v : v % static_cast<uint32_t>(n); };
 
-  const int n = std::max(schedule.num_nodes, 4);
-  ClusterConfig cfg;
-  cfg.num_nodes = n;
-  cfg.seed = schedule.seed * 2654435761ULL + 0x9e3779b9ULL;
-  cfg.topology.num_as = 40;  // small physical topology: schedule throughput
-  cfg.cost = CostModel::Simulator();
-  cfg.num_shards = options.num_shards;
-  cfg.threads = options.threads;
-  const std::unique_ptr<ClusterHarness> cluster_ptr = MakeSimCluster(cfg);
-  ClusterHarness& cluster = *cluster_ptr;
-  cluster.SetStallLimit(kLivelockEvents);
-  cluster.Build();
-
-  // Group membership is derived from the schedule seed alone (not the sim
-  // rng), so the shrinker can re-run reduced schedules comparably.
+  // Drawn group membership is derived from the schedule seed alone (not the
+  // cluster rng), so the shrinker can re-run reduced schedules comparably.
+  // Explicit groups follow, clamped to the cluster like every node operand.
   Rng group_rng(schedule.seed ^ 0xfacefeedcafef00dULL);
   std::vector<std::shared_ptr<GroupObs>> groups;
   for (int gi = 0; gi < schedule.num_groups; ++gi) {
@@ -76,72 +98,44 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
     std::sort(g->members.begin(), g->members.end());
     groups.push_back(std::move(g));
   }
-
-  // Create every group on the clean pre-fault network; a failure here is a
-  // violation in its own right (creation must succeed without faults).
-  for (int gi = 0; gi < schedule.num_groups; ++gi) {
-    GroupObs& g = *groups[gi];
-    struct CreateState {
-      bool done = false;
-      Status status;
-      FuseId id;
-    };
-    auto st = std::make_shared<CreateState>();
-    cluster.Run([&] {
-      cluster.CreateGroupInContext(g.members[0], cluster.RefsOf(g.members),
-                                   [st](const Status& s, FuseId id) {
-                                     st->status = s;
-                                     st->id = id;
-                                     st->done = true;
-                                   });
-    });
-    if (!cluster.Await([st] { return st->done; }, options.create_bound)) {
-      violate("group %d: create returned no verdict on a clean network", gi);
-      continue;
-    }
-    if (!st->status.ok()) {
-      violate("group %d: create failed on a clean network", gi);
-      continue;
-    }
-    g.id = st->id;
-    g.created = true;
-    ++res.groups_created;
-    auto gp = groups[gi];
-    cluster.Run([&] {
-      for (size_t m : gp->members) {
-        // The planted bug records every notification to the first member
-        // twice, as if the delivery layer had duplicated it (the protocol's
-        // own handler slot is replace-on-register, so a genuine double
-        // registration would mask rather than duplicate).
-        const int per_fire =
-            options.plant_duplicate_watch && m == gp->members[0] ? 2 : 1;
-        const bool spin = options.plant_livelock && m == gp->members[0];
-        cluster.WatchGroupMemberInContext(m, gp->id, [gp, m, &cluster, per_fire, spin] {
-          if (spin) {
-            Spin{&cluster.env()}();
-          }
-          gp->fired[m] += per_fire;
-          if (!gp->first_fire_us.contains(m)) {
-            gp->first_fire_us[m] = cluster.env().Now().ToMicros();
-          }
-        });
+  for (const GroupSpec& spec : schedule.explicit_groups) {
+    auto g = std::make_shared<GroupObs>();
+    g->expect = spec.expect;
+    for (uint32_t m : spec.members) {
+      const size_t idx = nidx(m);
+      if (std::count(g->members.begin(), g->members.end(), idx) == 0) {
+        g->members.push_back(idx);
       }
-    });
+    }
+    groups.push_back(std::move(g));
   }
-  cluster.AdvanceFor(options.settle);
 
-  // --- execute the fault clauses in time order ---
   // `shadow` mirrors only the partition state: a partition that still splits
   // two (never-crashed) members when the run ends cuts every path between
   // them, so the groups it splits are must-fire. Pair/one-way blocks are NOT
   // mirrored — they cut single links, which the delegate tree may legally
   // route around, so they only ever make a group may-fire.
   FaultInjector shadow;
+  // Nodes that may have lost their state: crashed by a clause, or in a churn
+  // range. They owe no notification, and never signal.
   std::set<size_t> ever_crashed;
-  bool any_fault_executed = false;
-  const TimePoint fault_start = cluster.env().Now();
-  int64_t cursor_us = 0;
+  bool any_fault_executed = options.adverse_network;
+  TimePoint fault_start = cluster.env().Now();
   auto host_of = [&cluster](uint32_t idx) { return cluster.RefOf(idx).host; };
+  auto is_up = [&cluster](size_t i) {
+    bool up = false;
+    cluster.Run([&] { up = cluster.IsUp(i); });
+    return up;
+  };
+  auto note_crash = [&](size_t node, int64_t now_us) {
+    ever_crashed.insert(node);
+    for (auto& g : groups) {
+      if (g->created && std::count(g->members.begin(), g->members.end(), node) > 0) {
+        g->must_fire = true;
+        NoteTrigger(*g, now_us);
+      }
+    }
+  };
 
   auto note_split_groups = [&] {
     // After a partition-state change: any group with two never-crashed
@@ -166,35 +160,28 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
     }
   };
 
-  for (const FaultClause& raw : schedule.clauses) {
+  auto execute = [&](const FaultClause& raw) {
     FaultClause c = raw;
     // Clamp node operands so shrunk schedules (smaller clusters) stay valid.
-    const auto nidx = [&](uint32_t v) { return v == kAllNodes ? v : v % static_cast<uint32_t>(n); };
-    c.a = nidx(c.a);
-    c.b = nidx(c.b);
-    if (c.at_us > cursor_us) {
-      cluster.AdvanceFor(Duration::Micros(c.at_us - cursor_us));
-      cursor_us = c.at_us;
+    // (A machine crash carries a machine index, churn a node range.)
+    if (c.op != FaultOp::kCrashMachine && c.op != FaultOp::kChurnStart &&
+        c.op != FaultOp::kChurnStop) {
+      c.a = nidx(c.a);
+      c.b = nidx(c.b);
     }
     const int64_t now_us = (cluster.env().Now() - fault_start).ToMicros();
     switch (c.op) {
       case FaultOp::kCrash: {
-        if (!cluster.IsUp(c.a)) {
+        if (!is_up(c.a)) {
           break;  // already down: clause is a no-op, not an error
         }
         cluster.Crash(c.a);
-        ever_crashed.insert(c.a);
         any_fault_executed = true;
-        for (auto& g : groups) {
-          if (g->created && std::count(g->members.begin(), g->members.end(), c.a) > 0) {
-            g->must_fire = true;
-            NoteTrigger(*g, now_us);
-          }
-        }
+        note_crash(c.a, now_us);
         break;
       }
       case FaultOp::kRestart:
-        if (!cluster.IsUp(c.a)) {
+        if (!is_up(c.a)) {
           cluster.RestartAsync(c.a);
           any_fault_executed = true;
         }
@@ -278,7 +265,7 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
         break;
       }
       case FaultOp::kSignalFailure: {
-        if (schedule.num_groups == 0) {
+        if (groups.empty()) {
           break;
         }
         GroupObs& g = *groups[c.a % groups.size()];
@@ -289,7 +276,7 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
         // the group state); skip if every member has crashed.
         size_t signaler = g.members.size();
         for (size_t m : g.members) {
-          if (!ever_crashed.contains(m) && cluster.IsUp(m)) {
+          if (!ever_crashed.contains(m) && is_up(m)) {
             signaler = m;
             break;
           }
@@ -297,13 +284,137 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
         if (signaler == g.members.size()) {
           break;
         }
-        cluster.Run([&] { cluster.node(signaler).fuse()->SignalFailure(g.id); });
+        cluster.Run([&] { cluster.SignalGroupInContext(signaler, g.id); });
         g.must_fire = true;
         NoteTrigger(g, now_us);
         any_fault_executed = true;
         break;
       }
+      case FaultOp::kCrashMachine: {
+        const int machine = static_cast<int>(
+            c.a % static_cast<uint32_t>(cluster.placement().NumMachines()));
+        std::vector<size_t> victims;
+        for (size_t i : cluster.placement().NodesOn(machine)) {
+          if (is_up(i)) {
+            victims.push_back(i);
+          }
+        }
+        if (victims.empty()) {
+          break;  // the whole machine is already down
+        }
+        cluster.CrashMachine(static_cast<size_t>(machine));
+        any_fault_executed = true;
+        for (size_t v : victims) {
+          note_crash(v, now_us);
+        }
+        break;
+      }
+      case FaultOp::kChurnStart: {
+        const size_t first = c.a % static_cast<uint32_t>(n);
+        const size_t count = std::min<size_t>(c.b, static_cast<size_t>(n) - first);
+        cluster.StartChurn(first, count, Duration::Micros(c.dur_us),
+                           Duration::MillisF(c.param));
+        // A churned node may crash and restart at any time: it owes no
+        // notification, and a group it belongs to becomes may-fire.
+        for (size_t i = first; i < first + count; ++i) {
+          ever_crashed.insert(i);
+        }
+        any_fault_executed = true;
+        break;
+      }
+      case FaultOp::kChurnStop:
+        cluster.StopChurn();
+        break;
     }
+  };
+
+  // --- setup clauses: the network groups are created on ---
+  for (const FaultClause& c : schedule.clauses) {
+    if (c.setup) {
+      execute(c);
+    }
+  }
+  const bool adverse_create = any_fault_executed;
+
+  // Create every group. On a clean network a failure is a violation in its
+  // own right (creation must succeed without faults); under adversity only a
+  // missing verdict is, and a definite failure is retried.
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    GroupObs& g = *groups[gi];
+    struct CreateState {
+      bool done = false;
+      Status status;
+      FuseId id;
+    };
+    const int attempts = adverse_create ? kCreateAttemptsUnderFaults : 1;
+    bool no_verdict = false;
+    for (int attempt = 0; attempt < attempts && !g.created && !no_verdict; ++attempt) {
+      auto st = std::make_shared<CreateState>();
+      cluster.Run([&] {
+        cluster.CreateGroupInContext(g.members[0], cluster.RefsOf(g.members),
+                                     [st](const Status& s, FuseId id) {
+                                       st->status = s;
+                                       st->id = id;
+                                       st->done = true;
+                                     });
+      });
+      if (!cluster.Await([st] { return st->done; }, bounds.create_bound)) {
+        no_verdict = true;
+      } else if (st->status.ok()) {
+        g.id = st->id;
+        g.created = true;
+      }
+    }
+    if (no_verdict) {
+      violate(adverse_create ? "group %zu: create returned no verdict"
+                             : "group %zu: create returned no verdict on a clean network",
+              gi);
+      continue;
+    }
+    if (!g.created) {
+      ++res.creates_failed;
+      if (!adverse_create) {
+        violate("group %zu: create failed on a clean network", gi);
+      }
+      continue;
+    }
+    ++res.groups_created;
+    auto gp = groups[gi];
+    cluster.Run([&] {
+      for (size_t m : gp->members) {
+        // The planted bug records every notification to the first member
+        // twice, as if the delivery layer had duplicated it (the protocol's
+        // own handler slot is replace-on-register, so a genuine double
+        // registration would mask rather than duplicate).
+        const int per_fire =
+            options.plant_duplicate_watch && m == gp->members[0] ? 2 : 1;
+        const bool spin = options.plant_livelock && m == gp->members[0];
+        cluster.WatchGroupMemberInContext(m, gp->id, [gp, m, &cluster, per_fire, spin] {
+          if (spin) {
+            Spin{&cluster.env()}();
+          }
+          gp->fired[m] += per_fire;
+          if (!gp->first_fire_us.contains(m)) {
+            gp->first_fire_us[m] = cluster.env().Now().ToMicros();
+          }
+        });
+      }
+    });
+  }
+  cluster.AdvanceFor(bounds.settle);
+
+  // --- execute the fault clauses in time order ---
+  fault_start = cluster.env().Now();
+  int64_t cursor_us = 0;
+  for (const FaultClause& c : schedule.clauses) {
+    if (c.setup) {
+      continue;
+    }
+    if (c.at_us > cursor_us) {
+      cluster.AdvanceFor(Duration::Micros(c.at_us - cursor_us));
+      cursor_us = c.at_us;
+    }
+    execute(c);
   }
 
   // Final partition state decides the connectivity half of must-fire: a
@@ -326,9 +437,14 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
       }
     }
   }
+  // An explicit expectation overrides whatever the clauses implied.
+  for (auto& g : groups) {
+    if (g->expect != GroupExpect::kAuto) {
+      g->must_fire = g->expect == GroupExpect::kMustFire;
+    }
+  }
 
   // --- detection tail + oracle ---
-  cluster.AdvanceFor(options.detect_bound);
   auto incomplete = [&](const GroupObs& g) {
     // A group that must fire, or has partially fired, and is still missing a
     // never-crashed member's notification.
@@ -347,16 +463,28 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
     }
     return (g.must_fire || any_fired) && !all_fired;
   };
-  bool needs_extension = false;
-  cluster.Run([&] {
+  auto any_incomplete = [&] {
     for (const auto& g : groups) {
       if (g->created && incomplete(*g)) {
-        needs_extension = true;
+        return true;
       }
     }
-  });
-  if (needs_extension) {
-    cluster.AdvanceFor(options.detect_bound);
+    return false;
+  };
+  if (cluster.virtual_time()) {
+    // Simulated time is free: watch the whole window, so late false
+    // positives are graded too.
+    cluster.AdvanceFor(bounds.detect_bound);
+    bool needs_extension = false;
+    cluster.Run([&] { needs_extension = any_incomplete(); });
+    if (needs_extension) {
+      cluster.AdvanceFor(bounds.detect_bound);
+    }
+  } else {
+    if (!cluster.Await([&] { return !any_incomplete(); }, bounds.detect_bound)) {
+      cluster.Await([&] { return !any_incomplete(); }, bounds.detect_bound);
+    }
+    cluster.AdvanceFor(bounds.post_settle);
   }
 
   cluster.Run([&] {
@@ -398,6 +526,10 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
       if (!any_fault_executed && any_fired) {
         violate("group %zu: notification while all members were live and connected", gi);
       }
+      // Faults the schedule does not show may legally touch any group.
+      if (g.expect == GroupExpect::kSilent && any_fired && !options.adverse_network) {
+        violate("group %zu: notified, but the schedule requires it to stay silent", gi);
+      }
       if (live_members == 0) {
         continue;  // nobody left holding watch state: agreement is vacuous
       }
@@ -438,10 +570,10 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
                 "run seed=%" PRIu64
                 " nodes=%d groups=%d clauses=%zu created=%d fired=%d fp=%d maxlat_us=%" PRId64
                 " verdict=%s(%zu)",
-                schedule.seed, schedule.num_nodes, schedule.num_groups, schedule.clauses.size(),
-                res.groups_created, res.groups_fired, res.false_positives,
-                res.max_detection_latency_us, res.ok() ? "ok" : "VIOLATION",
-                res.violations.size());
+                schedule.seed, schedule.num_nodes, schedule.total_groups(),
+                schedule.clauses.size(), res.groups_created, res.groups_fired,
+                res.false_positives, res.max_detection_latency_us,
+                res.ok() ? "ok" : "VIOLATION", res.violations.size());
   res.log_line = buf;
   return res;
 }

@@ -334,14 +334,10 @@ size_t ClusterHarness::NumLiveNodes() {
 }
 
 std::vector<size_t> ClusterHarness::PickLiveNodes(size_t k) {
-  return PickLiveNodes(k, nodes_.size());
-}
-
-std::vector<size_t> ClusterHarness::PickLiveNodes(size_t k, size_t limit) {
   std::vector<size_t> live;
   deploy_->Run([&] {
     live.reserve(nodes_.size());
-    for (size_t i = 0; i < nodes_.size() && i < limit; ++i) {
+    for (size_t i = 0; i < nodes_.size(); ++i) {
       if (IsUp(i)) {
         live.push_back(i);
       }

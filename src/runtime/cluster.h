@@ -203,11 +203,8 @@ class ClusterHarness {
   size_t NumLiveNodes();
 
   // --- conveniences for benches/tests ---
-  // k distinct live nodes drawn uniformly (indices). When `limit` is given,
-  // only indices below it are considered (e.g. the stable half of a churned
-  // cluster).
+  // k distinct live nodes drawn uniformly (indices).
   std::vector<size_t> PickLiveNodes(size_t k);
-  std::vector<size_t> PickLiveNodes(size_t k, size_t limit);
   // Stable overlay reference for a node (valid even while it is crashed).
   NodeRef RefOf(size_t i) const;
   std::vector<NodeRef> RefsOf(const std::vector<size_t>& indices);
@@ -219,11 +216,11 @@ class ClusterHarness {
   int CountRingViolations();
 
   // --- node-op vocabulary (run these from the protocol context) ---
-  // These are what the backend-parameterized scenario definitions
-  // (runtime/scenario.cc) are written against: issue a group create rooted at
-  // node `root`, and watch a member for failure notifications. The base
-  // implementations touch the in-process Node stack; ProcessCluster overrides
-  // them with worker commands.
+  // These are what the agreement oracle (fuzz/fuzz_runner.cc) is written
+  // against: issue a group create rooted at node `root`, watch a member for
+  // failure notifications, signal a group. The base implementations touch
+  // the in-process Node stack; ProcessCluster overrides them with worker
+  // commands.
   virtual void CreateGroupInContext(size_t root, std::vector<NodeRef> members,
                                     std::function<void(const Status&, FuseId)> cb);
   // Registers a failure watch: `on_fire` runs in the protocol context every

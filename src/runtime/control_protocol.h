@@ -34,6 +34,8 @@ inline constexpr uint8_t kCmdStats = 10;        // generation: snapshot counters
 inline constexpr uint8_t kCmdKillNode = 11;     // host id: in-place node crash
                                                 // (multi-tenant worker keeps
                                                 // running its other nodes)
+inline constexpr uint8_t kCmdSignal = 12;       // host id, group id: explicit
+                                                // SignalFailure from that node
 
 // Worker -> controller events.
 inline constexpr uint8_t kEvHello = 32;             // widx, incarnation, port, transport

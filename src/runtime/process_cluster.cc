@@ -218,6 +218,18 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       });
       break;
     }
+    case kCmdSignal: {
+      const uint64_t host = r.GetU64();
+      FuseId id;
+      id.hi = r.GetU64();
+      id.lo = r.GetU64();
+      // Like the in-process harness: a node killed in place has nothing to
+      // signal with.
+      if (const auto it = nodes.find(host); it != nodes.end()) {
+        it->second->fuse()->SignalFailure(id);
+      }
+      break;
+    }
     case kCmdStats: {
       // Snapshot of this worker's transport event counters (syscalls,
       // datagrams, retransmits, dedupes); the controller sums across workers.
@@ -556,6 +568,18 @@ class ProcessDeployment : public LoopDeployment {
     watches_[std::make_tuple(id.hi, id.lo, h.value)].push_back(std::move(on_fire));
     Writer w;
     w.PutU8(kCmdWatch);
+    w.PutU64(h.value);
+    w.PutU64(id.hi);
+    w.PutU64(id.lo);
+    SendTo(widx_of(h), w);
+  }
+
+  void SendSignal(HostId h, FuseId id) {
+    if (!WorkerUsable(widx_of(h))) {
+      return;  // a dead node holds no group state to signal
+    }
+    Writer w;
+    w.PutU8(kCmdSignal);
     w.PutU64(h.value);
     w.PutU64(id.hi);
     w.PutU64(id.lo);
@@ -1122,6 +1146,12 @@ void ProcessCluster::CreateGroupInContext(size_t root, std::vector<NodeRef> memb
 void ProcessCluster::WatchGroupMemberInContext(size_t m, FuseId id,
                                                std::function<void()> on_fire) {
   pd_->SendWatch(hosts_[m], id, std::move(on_fire));
+}
+
+void ProcessCluster::SignalGroupInContext(size_t node, FuseId id) {
+  if (up_[node]) {
+    pd_->SendSignal(hosts_[node], id);
+  }
 }
 
 std::vector<std::map<std::string, uint64_t>> ProcessCluster::TransportCountersByMachine() {

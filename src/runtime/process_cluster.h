@@ -33,10 +33,10 @@
 // live bootstrap exactly like the paper's stable-storage-free recovery.
 //
 // ProcessCluster overrides ClusterHarness's per-node hooks with control
-// commands, so Build/Crash/Restart/churn and the shared scenario definitions
-// (runtime/scenario.cc: CrashMember, PartitionHeal, ChurnDuringCreate,
-// MachineFailure) run unchanged across OS processes (ctest -L
-// process-parity, -L procN).
+// commands, so Build/Crash/Restart/churn, the agreement oracle
+// (fuzz/fuzz_runner.h) and the scenario schedules it grades (fuzz/scenario.h:
+// CrashMember, PartitionHeal, ChurnDuringCreate, MachineFailure, Signal) run
+// unchanged across OS processes (ctest -L process-parity, -L procN).
 #ifndef FUSE_RUNTIME_PROCESS_CLUSTER_H_
 #define FUSE_RUNTIME_PROCESS_CLUSTER_H_
 
@@ -106,6 +106,7 @@ class ProcessCluster : public ClusterHarness {
   void CreateGroupInContext(size_t root, std::vector<NodeRef> members,
                             std::function<void(const Status&, FuseId)> cb) override;
   void WatchGroupMemberInContext(size_t m, FuseId id, std::function<void()> on_fire) override;
+  void SignalGroupInContext(size_t node, FuseId id) override;
 
   // Transport event counters (syscalls, datagrams, retransmits, dedupe
   // suppressions) summed across all live workers, keyed by CounterName.

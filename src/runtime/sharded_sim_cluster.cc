@@ -31,16 +31,7 @@ class ShardedDeployment : public Deployment {
   Environment& env() override { return sim_; }
 
   Transport* CreateHost(size_t index) override {
-    HostId h;
-    if (config_.hosts_per_machine > 1) {
-      if (index % static_cast<size_t>(config_.hosts_per_machine) == 0) {
-        machine_ = net_->topology().RandomRouter(sim_.rng());
-      }
-      h = net_->AddHostAt(machine_);
-    } else {
-      h = net_->AddHost(sim_.rng());
-    }
-    return fabric_->TransportFor(h);
+    return fabric_->TransportFor(AddSimHost(config_, index, *net_, sim_.rng(), &machine_));
   }
 
   void CrashHost(HostId h) override { fabric_->CrashHost(h); }
@@ -83,24 +74,8 @@ class ShardedDeployment : public Deployment {
   RouterId machine_;
 };
 
-namespace {
-
-HarnessConfig HarnessConfigFrom(const ClusterConfig& c) {
-  HarnessConfig hc;
-  hc.num_nodes = c.num_nodes;
-  hc.overlay = c.overlay;
-  hc.fuse = c.fuse;
-  hc.join_batch = c.join_batch;
-  // Same blocked machine map as the classic backend (CreateHost starts a new
-  // router at every placement boundary).
-  hc.placement = Placement::Pack(c.num_nodes, c.hosts_per_machine < 1 ? 1 : c.hosts_per_machine);
-  return hc;  // timing keeps the virtual-time defaults
-}
-
-}  // namespace
-
 ShardedSimCluster::ShardedSimCluster(ClusterConfig config)
-    : ClusterHarness(std::make_unique<ShardedDeployment>(config), HarnessConfigFrom(config)),
+    : ClusterHarness(std::make_unique<ShardedDeployment>(config), SimHarnessConfig(config)),
       sharded_deploy_(static_cast<ShardedDeployment*>(&deployment())) {}
 
 ShardedSimCluster::~ShardedSimCluster() = default;

@@ -21,18 +21,7 @@ class SimDeployment : public Deployment {
   Environment& env() override { return sim_; }
 
   Transport* CreateHost(size_t index) override {
-    HostId h;
-    if (config_.hosts_per_machine > 1) {
-      // Co-locate groups of nodes on one router ("machine"), as on the
-      // paper's 40-machine ModelNet cluster.
-      if (index % static_cast<size_t>(config_.hosts_per_machine) == 0) {
-        machine_ = net_->topology().RandomRouter(sim_.rng());
-      }
-      h = net_->AddHostAt(machine_);
-    } else {
-      h = net_->AddHost(sim_.rng());
-    }
-    return fabric_->TransportFor(h);
+    return fabric_->TransportFor(AddSimHost(config_, index, *net_, sim_.rng(), &machine_));
   }
 
   void CrashHost(HostId h) override { fabric_->CrashHost(h); }
@@ -64,25 +53,32 @@ class SimDeployment : public Deployment {
   RouterId machine_;
 };
 
-namespace {
-
-HarnessConfig HarnessConfigFrom(const ClusterConfig& c) {
+HarnessConfig SimHarnessConfig(const ClusterConfig& c) {
   HarnessConfig hc;
   hc.num_nodes = c.num_nodes;
   hc.overlay = c.overlay;
   hc.fuse = c.fuse;
   hc.join_batch = c.join_batch;
-  // Blocked layout matching SimDeployment::CreateHost's router boundary
+  // Blocked layout matching AddSimHost's router boundary
   // (`index % hosts_per_machine == 0` starts a new machine), so the harness's
   // machine map names exactly the co-location the topology models.
   hc.placement = Placement::Pack(c.num_nodes, c.hosts_per_machine < 1 ? 1 : c.hosts_per_machine);
   return hc;  // timing keeps the virtual-time defaults
 }
 
-}  // namespace
+HostId AddSimHost(const ClusterConfig& c, size_t index, SimNetwork& net, Rng& rng,
+                  RouterId* machine) {
+  if (c.hosts_per_machine <= 1) {
+    return net.AddHost(rng);
+  }
+  if (index % static_cast<size_t>(c.hosts_per_machine) == 0) {
+    *machine = net.topology().RandomRouter(rng);
+  }
+  return net.AddHostAt(*machine);
+}
 
 SimCluster::SimCluster(ClusterConfig config)
-    : ClusterHarness(std::make_unique<SimDeployment>(config), HarnessConfigFrom(config)),
+    : ClusterHarness(std::make_unique<SimDeployment>(config), SimHarnessConfig(config)),
       sim_deploy_(static_cast<SimDeployment*>(&deployment())) {}
 
 SimCluster::~SimCluster() = default;

@@ -55,6 +55,17 @@ struct ClusterConfig {
   }
 };
 
+// Shared by the two simulated backends (SimCluster, ShardedSimCluster).
+// The harness slice of `c`: its blocked machine map matches AddSimHost's
+// router boundary, so the harness's machines are the topology's.
+HarnessConfig SimHarnessConfig(const ClusterConfig& c);
+// Adds host `index` to `net`. With hosts_per_machine > 1, consecutive blocks
+// of hosts share one access router ("machine"), as on the paper's
+// 40-machine ModelNet cluster; `machine` carries the current block's router
+// from one call to the next.
+HostId AddSimHost(const ClusterConfig& c, size_t index, SimNetwork& net, Rng& rng,
+                  RouterId* machine);
+
 class SimDeployment;
 
 class SimCluster : public ClusterHarness {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "fuzz/fault_schedule.h"
 #include "fuzz/fuzz_runner.h"
@@ -35,6 +36,64 @@ TEST(FuzzScheduleTest, TextFormRoundTrips) {
     EXPECT_EQ(s, back) << "seed " << seed;
     EXPECT_EQ(s.ToText(), back.ToText()) << "seed " << seed;
   }
+
+  // The hand-written vocabulary: explicit groups with every expectation, a
+  // setup churn clause, churn stop and a machine crash.
+  const std::string text =
+      "fuse-fuzz-schedule v1\nseed 5\nnodes 12\ngroups 1\n"
+      "group auto 3,0,2\n"
+      "group must-fire 1,4\n"
+      "group silent 5,6,7\n"
+      "setup churn_start at_us=0 a=8 b=4 dur_us=1500000 param=1000 group=-\n"
+      "crash_machine at_us=0 a=1 b=0 dur_us=0 param=0 group=-\n"
+      "churn_stop at_us=2300000 a=0 b=0 dur_us=0 param=0 group=-\n";
+  FaultSchedule s;
+  ASSERT_TRUE(FaultSchedule::FromText(text, &s));
+  EXPECT_EQ(s.ToText(), text);
+  EXPECT_EQ(s.total_groups(), 4);
+  ASSERT_EQ(s.explicit_groups.size(), 3u);
+  EXPECT_EQ(s.explicit_groups[0].members, (std::vector<uint32_t>{3, 0, 2}));
+  EXPECT_EQ(s.explicit_groups[0].expect, GroupExpect::kAuto);
+  EXPECT_EQ(s.explicit_groups[1].expect, GroupExpect::kMustFire);
+  EXPECT_EQ(s.explicit_groups[2].expect, GroupExpect::kSilent);
+  ASSERT_EQ(s.clauses.size(), 3u);
+  EXPECT_TRUE(s.clauses[0].setup);
+  EXPECT_EQ(s.clauses[0].op, FaultOp::kChurnStart);
+  EXPECT_EQ(s.clauses[0].b, 4u);
+  EXPECT_EQ(s.clauses[0].dur_us, 1500000);
+  EXPECT_EQ(s.clauses[0].param, 1000.0);
+  EXPECT_FALSE(s.clauses[1].setup);
+  EXPECT_EQ(s.clauses[1].op, FaultOp::kCrashMachine);
+  EXPECT_EQ(s.clauses[2].op, FaultOp::kChurnStop);
+  FaultSchedule back;
+  ASSERT_TRUE(FaultSchedule::FromText(s.ToText(), &back));
+  EXPECT_EQ(s, back);
+
+  // Member lists of any length (a fixed token buffer once cut them short).
+  FaultSchedule wide;
+  wide.num_nodes = 400;
+  FaultClause split;
+  split.op = FaultOp::kPartition;
+  for (uint32_t i = 100; i < 400; ++i) {
+    split.group.push_back(i);
+  }
+  wide.clauses.push_back(split);
+  wide.explicit_groups.push_back(GroupSpec{split.group, GroupExpect::kSilent});
+  ASSERT_TRUE(FaultSchedule::FromText(wide.ToText(), &back));
+  EXPECT_EQ(wide, back);
+}
+
+TEST(FuzzScheduleTest, GeneratorNeverDrawsTheHandWrittenVocabulary) {
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    const FaultSchedule s = GenerateSchedule(seed);
+    EXPECT_TRUE(s.explicit_groups.empty()) << "seed " << seed;
+    for (const FaultClause& c : s.clauses) {
+      EXPECT_FALSE(c.setup) << "seed " << seed;
+      EXPECT_NE(c.op, FaultOp::kCrashMachine) << "seed " << seed;
+      EXPECT_NE(c.op, FaultOp::kChurnStart) << "seed " << seed;
+      EXPECT_NE(c.op, FaultOp::kChurnStop) << "seed " << seed;
+    }
+  }
 }
 
 TEST(FuzzScheduleTest, TextParserRejectsGarbage) {
@@ -46,6 +105,45 @@ TEST(FuzzScheduleTest, TextParserRejectsGarbage) {
       "fuse-fuzz-schedule v1\nseed 1\nnodes 4\ngroups 1\n"
       "frobnicate at_us=0 a=0 b=0 dur_us=0 param=0 group=-\n",
       &out));
+
+  const std::string head = "fuse-fuzz-schedule v1\nseed 1\nnodes 12\ngroups 0\n";
+  ASSERT_TRUE(FaultSchedule::FromText(head + "group silent 1,2\n", &out));
+  const char* const bad_lines[] = {
+      // Group lines: empty, duplicate members, unknown or missing
+      // expectation, malformed member list, trailing garbage.
+      "group auto -\n",
+      "group auto\n",
+      "group must-fire 1,2,1\n",
+      "group sometimes 1,2\n",
+      "group 1,2\n",
+      "group auto 1,,2\n",
+      "group auto 1,x\n",
+      "group auto 1,-2\n",
+      "group auto 1,2,\n",
+      "group auto 1, 2\n",
+      "group auto 1,4294967296\n",
+      "group silent 1,2 extra\n",
+      // Churn: empty range, no uptime, no downtime, operands or a window on
+      // churn_stop.
+      "churn_start at_us=0 a=6 b=0 dur_us=1000 param=10 group=-\n",
+      "churn_start at_us=0 a=6 b=6 dur_us=0 param=10 group=-\n",
+      "churn_start at_us=0 a=6 b=6 dur_us=1000 param=0 group=-\n",
+      "churn_start at_us=0 a=6 b=6 dur_us=1000 param=10 group=1\n",
+      "churn_stop at_us=0 a=3 b=0 dur_us=0 param=0 group=-\n",
+      "churn_stop at_us=0 a=0 b=0 dur_us=5 param=0 group=-\n",
+      // Machine crash: a second operand, a window, a param, a member list.
+      "crash_machine at_us=0 a=1 b=2 dur_us=0 param=0 group=-\n",
+      "crash_machine at_us=0 a=1 b=0 dur_us=10 param=0 group=-\n",
+      "crash_machine at_us=0 a=1 b=0 dur_us=0 param=0.5 group=-\n",
+      "crash_machine at_us=0 a=1 b=0 dur_us=0 param=0 group=1,2\n",
+      // Setup clauses are untimed; `setup` needs a clause.
+      "setup crash at_us=5 a=1 b=0 dur_us=0 param=0 group=-\n",
+      "setup\n",
+      "setup group auto 1,2\n",
+  };
+  for (const char* line : bad_lines) {
+    EXPECT_FALSE(FaultSchedule::FromText(head + line, &out)) << line;
+  }
 }
 
 TEST(FuzzRunnerTest, RunIsDeterministic) {

@@ -1,10 +1,11 @@
-// Sim ↔ live parity: the backend-parameterized fault schedules from
-// runtime/scenario.h — the same definitions property_test.cc runs on the
-// discrete-event simulator — executed against the wall-clock LiveCluster.
-// This is the paper's section 7 claim made enforceable: one scenario
-// definition, two deployments, same agreement guarantee. These run as the
-// `live-parity` ctest label (gated in CI's main job and, for the
-// partition/heal schedule's lock discipline, under TSan).
+// Sim ↔ live parity: the runtime scenarios' fault schedules from
+// fuzz/scenario.h — the same schedules property_test.cc runs on the
+// discrete-event simulator — executed against the wall-clock LiveCluster
+// and graded by the same oracle (fuzz/fuzz_runner.h). This is the paper's
+// section 7 claim made enforceable: one scenario definition, one grader, two
+// deployments. These run as the `live-parity` ctest label (gated in CI's
+// main job and, for the partition/heal schedule's lock discipline, under
+// TSan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,22 +14,24 @@
 #include <thread>
 #include <tuple>
 
+#include "fuzz/scenario.h"
 #include "runtime/live_cluster.h"
-#include "runtime/scenario.h"
 
 namespace fuse {
 namespace {
 
-ScenarioOptions LiveOptions(uint64_t seed) {
-  ScenarioOptions opts;
-  opts.seed = seed;
-  // Smaller than the sim sweep (36 nodes, 6 groups): the point here is
-  // real-thread coverage per wall-clock second, not schedule breadth.
-  opts.num_groups = 3;
-  opts.min_group_size = 2;
-  opts.max_group_size = 4;
-  opts.timing = ScenarioTiming::Live();
-  return opts;
+// Runs `kind` on a built cluster with the wall-clock scenario shape: the
+// oracle's verdict, full coverage within the detection bound, and — unless
+// churn legally failed a create — a run that exercised the notification path.
+void ExpectAgreement(ClusterHarness& cluster, ScenarioKind kind) {
+  const ScenarioOptions opts = ScenarioOptions::Live(42);
+  const FuzzRunResult r = RunAgreementScenario(cluster, kind, opts);
+  EXPECT_TRUE(r.ok()) << ScenarioKindName(kind) << " live: " << r.ToString();
+  EXPECT_LE(r.max_detection_latency_us, opts.oracle.bounds.detect_bound.ToMicros())
+      << r.ToString();
+  if (r.creates_failed == 0) {
+    EXPECT_GE(r.groups_fired, 1) << "scenario did not exercise the notification path";
+  }
 }
 
 // Parameterized over (scenario, transport): the same schedules run on the
@@ -53,21 +56,14 @@ TEST_P(LiveParityScenario, AgreementHoldsOverWallClock) {
   cfg.transport = transport;
   LiveCluster cluster(cfg);
   cluster.Build();
-  const ScenarioResult result = RunAgreementScenario(cluster, kind, LiveOptions(42));
-  EXPECT_TRUE(result.ok()) << ScenarioKindName(kind) << " live: " << result.ToString();
-  // A skipped target (all retried creates definitely failed under churn) is
-  // a legal vacuous outcome on the nondeterministic wall-clock backend;
-  // anything else must have exercised the notification path.
-  if (!result.target_skipped) {
-    EXPECT_GE(result.notified, 1) << "scenario did not exercise the notification path";
-  }
+  ExpectAgreement(cluster, kind);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, LiveParityScenario,
     ::testing::Combine(::testing::Values(ScenarioKind::kCrashMember,
                                          ScenarioKind::kPartitionHeal,
-                                         ScenarioKind::kChurnDuringCreate),
+                                         ScenarioKind::kChurnDuringCreate, ScenarioKind::kSignal),
                        ::testing::Values(TransportKind::kInProcess, TransportKind::kUdp)),
     [](const ::testing::TestParamInfo<std::tuple<ScenarioKind, TransportKind>>& pinfo) {
       std::string name = ScenarioKindName(std::get<0>(pinfo.param));
@@ -82,8 +78,8 @@ INSTANTIATE_TEST_SUITE_P(
 // also share one fabric and one port — the single-process analogue of a
 // multi-tenant worker). One machine dies as a unit; every group spanning it
 // must notify each live member exactly once, and machine-disjoint groups
-// must stay silent. Same definition as the sim leg (property_test.cc) and
-// the multi-tenant process leg (process_multinode_test.cc).
+// must stay silent. Same schedule as the sim leg (property_test.cc) and the
+// multi-tenant process leg (process_multinode_test.cc).
 class LiveMachineFailure : public ::testing::TestWithParam<TransportKind> {};
 
 TEST_P(LiveMachineFailure, SpanningGroupsNotifyDisjointGroupsStaySilent) {
@@ -98,10 +94,7 @@ TEST_P(LiveMachineFailure, SpanningGroupsNotifyDisjointGroupsStaySilent) {
   cfg.nodes_per_machine = 3;
   LiveCluster cluster(cfg);
   cluster.Build();
-  const ScenarioResult result =
-      RunAgreementScenario(cluster, ScenarioKind::kMachineFailure, LiveOptions(42));
-  EXPECT_TRUE(result.ok()) << "MachineFailure live: " << result.ToString();
-  EXPECT_GE(result.notified, 1) << "scenario did not exercise the notification path";
+  ExpectAgreement(cluster, ScenarioKind::kMachineFailure);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, LiveMachineFailure,

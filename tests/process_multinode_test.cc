@@ -3,10 +3,11 @@
 // semantics that placement changes: a single-node crash on a shared worker
 // is an in-place kill (co-tenants keep running; the process survives), and a
 // machine crash is ONE genuine SIGKILL taking down every co-hosted node at
-// once. The ProcNParity suite runs the shared scenario definitions
-// (runtime/scenario.h) over a 24-nodes-on-4-workers placement on both real
-// transports; ProcessClusterMultiNode covers the lifecycle edges (TSan's
-// "ProcessCluster" test regex picks up this suite, not the parity sweep).
+// once. The ProcNParity suite runs the shared scenario schedules
+// (fuzz/scenario.h) through the oracle over a 24-nodes-on-4-workers
+// placement on both real transports; ProcessClusterMultiNode covers the
+// lifecycle edges (TSan's "ProcessCluster" test regex picks up this suite,
+// not the parity sweep).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,8 +15,8 @@
 #include <tuple>
 #include <vector>
 
+#include "fuzz/scenario.h"
 #include "runtime/process_cluster.h"
-#include "runtime/scenario.h"
 
 #if defined(__linux__)
 
@@ -26,16 +27,6 @@ ProcessClusterConfig MultiNodeConfig(int num_nodes, int num_workers, uint64_t se
   ProcessClusterConfig cfg = ProcessClusterConfig::FastProtocol(num_nodes, seed);
   cfg.num_workers = num_workers;
   return cfg;
-}
-
-ScenarioOptions ProcNOptions(uint64_t seed) {
-  ScenarioOptions opts;
-  opts.seed = seed;
-  opts.num_groups = 3;
-  opts.min_group_size = 2;
-  opts.max_group_size = 4;
-  opts.timing = ScenarioTiming::Live();
-  return opts;
 }
 
 // (scenario, transport) over 24 nodes packed onto 4 workers: 6 co-hosted
@@ -53,11 +44,12 @@ TEST_P(ProcNParity, AgreementHoldsUnderMultiTenantPlacement) {
   ProcessCluster cluster(cfg);
   cluster.Build();
   ASSERT_EQ(cluster.placement().NumMachines(), 4);
-  const ScenarioResult result = RunAgreementScenario(cluster, kind, ProcNOptions(42));
-  EXPECT_TRUE(result.ok()) << ScenarioKindName(kind) << " procN: " << result.ToString();
-  if (!result.target_skipped) {
-    EXPECT_GE(result.notified, 1) << "scenario did not exercise the notification path";
-  }
+  const ScenarioOptions opts = ScenarioOptions::Live(42);
+  const FuzzRunResult r = RunAgreementScenario(cluster, kind, opts);
+  EXPECT_TRUE(r.ok()) << ScenarioKindName(kind) << " procN: " << r.ToString();
+  EXPECT_LE(r.max_detection_latency_us, opts.oracle.bounds.detect_bound.ToMicros())
+      << r.ToString();
+  EXPECT_GE(r.groups_fired, 1) << "scenario did not exercise the notification path";
 
   // Per-machine accounting: one slot per worker, empty for a dead worker
   // (kMachineFailure leaves its victim SIGKILLed), live counters elsewhere.

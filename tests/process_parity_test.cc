@@ -1,41 +1,32 @@
-// Sim ↔ live ↔ process parity: the backend-parameterized fault schedules
-// from runtime/scenario.h — the same definitions property_test.cc runs on
-// the discrete-event simulator and live_parity_test.cc runs on the threaded
+// Sim ↔ live ↔ process parity: the runtime scenarios' fault schedules from
+// fuzz/scenario.h — the same schedules property_test.cc runs on the
+// discrete-event simulator and live_parity_test.cc runs on the threaded
 // in-process runtime — executed against ProcessCluster, where every node is
 // its own OS process, messages are length-prefixed frames over loopback TCP,
-// and a crash is a real SIGKILL. These run as the `process-parity` ctest
-// label (gated in CI's main job and TSan job); scripts/check.sh skips the
-// label on sandboxes without epoll/fork support.
+// and a crash is a real SIGKILL, and graded by the same oracle
+// (fuzz/fuzz_runner.h). These run as the `process-parity` ctest label (gated
+// in CI's main job and TSan job); scripts/check.sh skips the label on
+// sandboxes without epoll/fork support.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <tuple>
 
+#include "fuzz/scenario.h"
 #include "runtime/process_cluster.h"
-#include "runtime/scenario.h"
 
 #if defined(__linux__)
 
 namespace fuse {
 namespace {
 
-ScenarioOptions ProcessOptions(uint64_t seed) {
-  ScenarioOptions opts;
-  opts.seed = seed;
-  // Same shape as the live-parity runs: the point is cross-process coverage
-  // per wall-clock second, not schedule breadth.
-  opts.num_groups = 3;
-  opts.min_group_size = 2;
-  opts.max_group_size = 4;
-  opts.timing = ScenarioTiming::Live();
-  return opts;
-}
-
 // Parameterized over (scenario, transport): the same schedules run over
 // loopback TCP frames and over the coalescing UDP datagram fabric, where a
 // SIGKILLed worker is observed as silence + retransmit exhaustion rather
 // than a broken connection. CI selects the UDP leg by test name (-R Udp).
+// Signal is the controller -> worker SignalFailure path (kCmdSignal): every
+// member of the signaled group must hear exactly one notification.
 class ProcessParityScenario
     : public ::testing::TestWithParam<std::tuple<ScenarioKind, TransportKind>> {};
 
@@ -50,13 +41,15 @@ TEST_P(ProcessParityScenario, AgreementHoldsAcrossOsProcesses) {
   cfg.transport = transport;
   ProcessCluster cluster(cfg);
   cluster.Build();
-  const ScenarioResult result = RunAgreementScenario(cluster, kind, ProcessOptions(42));
-  EXPECT_TRUE(result.ok()) << ScenarioKindName(kind) << " process: " << result.ToString();
-  // A skipped target (all retried creates definitely failed under churn) is
-  // a legal vacuous outcome on a nondeterministic backend; anything else
+  const ScenarioOptions opts = ScenarioOptions::Live(42);
+  const FuzzRunResult r = RunAgreementScenario(cluster, kind, opts);
+  EXPECT_TRUE(r.ok()) << ScenarioKindName(kind) << " process: " << r.ToString();
+  EXPECT_LE(r.max_detection_latency_us, opts.oracle.bounds.detect_bound.ToMicros())
+      << r.ToString();
+  // Under churn a create may legally fail (a vacuous run); anything else
   // must have exercised the notification path.
-  if (!result.target_skipped) {
-    EXPECT_GE(result.notified, 1) << "scenario did not exercise the notification path";
+  if (r.creates_failed == 0) {
+    EXPECT_GE(r.groups_fired, 1) << "scenario did not exercise the notification path";
   }
 
   // Transport accounting, summed across the surviving workers. Beyond the
@@ -91,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ScenarioKind::kCrashMember,
                                          ScenarioKind::kPartitionHeal,
                                          ScenarioKind::kChurnDuringCreate,
-                                         ScenarioKind::kMachineFailure),
+                                         ScenarioKind::kMachineFailure, ScenarioKind::kSignal),
                        ::testing::Values(TransportKind::kTcp, TransportKind::kUdp)),
     [](const ::testing::TestParamInfo<std::tuple<ScenarioKind, TransportKind>>& pinfo) {
       std::string name = ScenarioKindName(std::get<0>(pinfo.param));

@@ -1,7 +1,7 @@
 // Scale leg of the multi-tenant placement work (`procscale` ctest label,
 // RUN_SERIAL): 1000 nodes packed onto 16 worker processes — 16 epoll loops
 // and 16 fabric listeners, not 1000 processes — driven through the same
-// harness/scenario definitions as every other backend. The protocol
+// harness, scenario schedules and oracle as every other backend. The protocol
 // constants are slowed well below the FastProtocol preset: a thousand
 // wall-clock protocol stacks share one box with the controller, so the
 // background load (pings, leaf exchanges) must fit the machine while
@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/scenario.h"
 #include "runtime/process_cluster.h"
-#include "runtime/scenario.h"
 
 #if defined(__linux__)
 
@@ -58,16 +58,12 @@ ProcessClusterConfig ScaleConfig(TransportKind transport) {
 }
 
 ScenarioOptions ScaleOptions(uint64_t seed) {
-  ScenarioOptions opts;
-  opts.seed = seed;
+  ScenarioOptions opts = ScenarioOptions::Live(seed);
   opts.num_groups = 4;  // 2 spanning the victim machine + 2 disjoint controls
-  opts.min_group_size = 2;
-  opts.max_group_size = 4;
-  opts.timing = ScenarioTiming::Live();
-  opts.timing.settle = Duration::Seconds(5);
-  opts.timing.create_bound = Duration::Seconds(60);
-  opts.timing.detect_bound = Duration::Seconds(180);
-  opts.timing.post_settle = Duration::Seconds(15);
+  opts.oracle.bounds.settle = Duration::Seconds(5);
+  opts.oracle.bounds.create_bound = Duration::Seconds(60);
+  opts.oracle.bounds.detect_bound = Duration::Seconds(180);
+  opts.oracle.bounds.post_settle = Duration::Seconds(15);
   return opts;
 }
 
@@ -75,10 +71,12 @@ void RunScale(TransportKind transport) {
   ProcessCluster cluster(ScaleConfig(transport));
   cluster.Build();
   ASSERT_EQ(cluster.placement().NumMachines(), kWorkers);
-  const ScenarioResult result =
-      RunAgreementScenario(cluster, ScenarioKind::kMachineFailure, ScaleOptions(91));
-  EXPECT_TRUE(result.ok()) << "MachineFailure at scale: " << result.ToString();
-  EXPECT_GE(result.notified, 1) << "scenario did not exercise the notification path";
+  const ScenarioOptions opts = ScaleOptions(91);
+  const FuzzRunResult r = RunAgreementScenario(cluster, ScenarioKind::kMachineFailure, opts);
+  EXPECT_TRUE(r.ok()) << "MachineFailure at scale: " << r.ToString();
+  EXPECT_LE(r.max_detection_latency_us, opts.oracle.bounds.detect_bound.ToMicros())
+      << r.ToString();
+  EXPECT_GE(r.groups_fired, 1) << "scenario did not exercise the notification path";
 
   // One counter slot per worker. The SIGKILLed machine is dark for sure;
   // collection is best-effort (bounded), so a heavily loaded survivor may

@@ -4,58 +4,34 @@
 // The FUSE property (sections 1/3): for ANY fault schedule, once any member
 // observes a failure of a group, every live member of that group hears
 // exactly one notification within the analytic bound — and groups none of
-// whose members/paths failed are never notified spuriously.
+// whose members/paths failed are never notified spuriously. The agreement
+// suites grade it with the one oracle (fuzz/fuzz_runner.h).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
-#include <vector>
 
+#include "fuzz/scenario.h"
 #include "overlay/routing_table.h"
-#include "runtime/scenario.h"
 #include "runtime/sim_cluster.h"
 
 namespace fuse {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FUSE one-way agreement under randomized fault schedules.
+// FUSE one-way agreement under the runtime scenarios' fault schedules
+// (fuzz/scenario.h), graded by the fuzzer's oracle. The same schedules run
+// wall-clock in live_parity_test.cc and across OS processes in
+// process_parity_test.cc / process_multinode_test.cc.
 // ---------------------------------------------------------------------------
 
-enum class FaultKind {
-  kCrashMember,    // crash one member of a watched group
-  kCrashBystander, // crash nodes that are in no watched group
-  kSignal,         // explicit SignalFailure by a random member
-  kPartition,      // partition a subset of members away
-  kPartitionHeal,  // partition, then heal mid-run: agreement is one-way, so
-                   // the notification must still reach everyone exactly once
-  kChurnCreate,    // create groups while bystanders churn, then crash
-  kMixed,          // several of the above at random
-};
-
-std::string FaultKindName(FaultKind k) {
-  switch (k) {
-    case FaultKind::kCrashMember:
-      return "CrashMember";
-    case FaultKind::kCrashBystander:
-      return "CrashBystander";
-    case FaultKind::kSignal:
-      return "Signal";
-    case FaultKind::kPartition:
-      return "Partition";
-    case FaultKind::kPartitionHeal:
-      return "PartitionHeal";
-    case FaultKind::kChurnCreate:
-      return "ChurnCreate";
-    case FaultKind::kMixed:
-      return "Mixed";
-  }
-  return "Unknown";
+// This suite's name for kChurnDuringCreate (the nightly matrix selects it).
+std::string KindName(ScenarioKind k) {
+  return k == ScenarioKind::kChurnDuringCreate ? "ChurnCreate" : ScenarioKindName(k);
 }
 
 // The nightly scenario matrix sets FUSE_PROPERTY_LOSS_PCT (0 / 1 / 5) to run
@@ -65,8 +41,32 @@ double PerLinkLossFromEnv() {
   return pct == nullptr ? 0.0 : std::atof(pct) / 100.0;
 }
 
+// Runs `kind` on a built 36-node sim cluster and checks the oracle's verdict:
+// agreement held, full coverage within the detection bound, and — on a clean
+// network — the run exercised the notification path.
+void ExpectAgreement(const ClusterConfig& cfg, ScenarioKind kind, uint64_t seed) {
+  // Loss is applied to the built overlay (as in the paper's Fig. 11/12 route
+  // loss experiments), not during construction: multi-hop joins under 5%
+  // per-link loss would make Build itself flaky, which is not the property
+  // under test.
+  const double loss = PerLinkLossFromEnv();
+  SimCluster cluster(cfg);
+  cluster.Build();
+  cluster.net().SetPerLinkLossRate(loss);
+  ScenarioOptions opts;
+  opts.seed = seed;
+  opts.oracle.adverse_network = loss > 0.0;
+  const FuzzRunResult r = RunAgreementScenario(cluster, kind, opts);
+  EXPECT_TRUE(r.ok()) << KindName(kind) << " seed " << seed << ": " << r.ToString();
+  EXPECT_LE(r.max_detection_latency_us, opts.oracle.bounds.detect_bound.ToMicros())
+      << r.ToString();
+  if (loss == 0.0 && kind != ScenarioKind::kCrashBystander) {
+    EXPECT_GE(r.groups_fired, 1) << "vacuous run: " << r.ToString();
+  }
+}
+
 class FuseAgreementProperty
-    : public ::testing::TestWithParam<std::tuple<uint64_t, FaultKind>> {};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, ScenarioKind>> {};
 
 TEST_P(FuseAgreementProperty, OneWayAgreementHolds) {
   const auto [seed, kind] = GetParam();
@@ -75,225 +75,34 @@ TEST_P(FuseAgreementProperty, OneWayAgreementHolds) {
   cfg.seed = seed;
   cfg.topology.num_as = 60;
   cfg.cost = CostModel::Simulator();
-  // Loss is applied to the built overlay (as in the paper's Fig. 11/12 route
-  // loss experiments), not during construction: multi-hop joins under 5%
-  // per-link loss would make Build itself flaky, which is not the property
-  // under test.
-  const double loss = PerLinkLossFromEnv();
-
-  // CrashMember, PartitionHeal, and ChurnCreate are the backend-parameterized
-  // schedules: ONE definition (runtime/scenario.h) runs here on virtual time
-  // and, in live_parity_test.cc, on the wall-clock LiveCluster — the paper's
-  // "identical code base on simulator and live cluster" methodology.
-  if (kind == FaultKind::kCrashMember || kind == FaultKind::kPartitionHeal ||
-      kind == FaultKind::kChurnCreate) {
-    SimCluster cluster(cfg);
-    cluster.Build();
-    cluster.net().SetPerLinkLossRate(loss);
-    ScenarioOptions opts;
-    opts.seed = seed;
-    opts.timing = ScenarioTiming::Sim();
-    opts.tolerate_create_failures = loss > 0.0;
-    const ScenarioKind sk = kind == FaultKind::kCrashMember ? ScenarioKind::kCrashMember
-                            : kind == FaultKind::kPartitionHeal
-                                ? ScenarioKind::kPartitionHeal
-                                : ScenarioKind::kChurnDuringCreate;
-    const ScenarioResult result = RunAgreementScenario(cluster, sk, opts);
-    EXPECT_TRUE(result.ok()) << FaultKindName(kind) << " seed " << seed << ": "
-                             << result.ToString();
-    if (loss == 0.0) {
-      // On a clean network the run must be substantive, not vacuous: the
-      // target group exists and its members all heard the notification.
-      EXPECT_FALSE(result.target_skipped);
-      EXPECT_GE(result.notified, 1) << result.ToString();
-    } else if (result.target_skipped) {
-      // Under tolerated loss a skipped target is legal but worth seeing in
-      // the nightly logs.
-      std::printf("note: %s seed %llu skipped target under %.0f%% loss\n",
-                  FaultKindName(kind).c_str(), static_cast<unsigned long long>(seed),
-                  loss * 100.0);
-    }
-    return;
-  }
-
-  SimCluster cluster(cfg);
-  cluster.Build();
-  cluster.net().SetPerLinkLossRate(loss);
-  Rng fault_rng(seed * 7919 + 13);
-
-  // A handful of random groups; half will be targeted by faults, half are
-  // "control" groups that must survive untouched (unless a shared node or
-  // the partition happens to hit them — tracked below).
-  struct Group {
-    FuseId id;
-    std::vector<size_t> members;
-    std::map<size_t, int> fired;
-  };
-  std::vector<std::unique_ptr<Group>> groups;
-  for (int g = 0; g < 6; ++g) {
-    const size_t size = static_cast<size_t>(fault_rng.UniformInt(2, 6));
-    auto grp = std::make_unique<Group>();
-    grp->members = cluster.PickLiveNodes(size);
-    bool done = false;
-    Status status;
-    cluster.node(grp->members[0])
-        .fuse()
-        ->CreateGroup(cluster.RefsOf(grp->members), [&](const Status& s, FuseId id) {
-          status = s;
-          grp->id = id;
-          done = true;
-        });
-    cluster.sim().RunUntilCondition([&] { return done; },
-                                    cluster.sim().Now() + Duration::Minutes(3));
-    ASSERT_TRUE(done && status.ok());
-    for (size_t m : grp->members) {
-      Group* raw = grp.get();
-      cluster.node(m).fuse()->RegisterFailureHandler(grp->id,
-                                                     [raw, m](FuseId) { raw->fired[m]++; });
-    }
-    groups.push_back(std::move(grp));
-  }
-  cluster.sim().RunFor(Duration::Minutes(2));
-
-  // Apply the fault schedule to group 0 (and bystanders for kCrashBystander).
-  std::set<size_t> crashed;
-  Group& target = *groups[0];
-  auto in_any_group = [&](size_t n) {
-    for (const auto& g : groups) {
-      for (size_t m : g->members) {
-        if (m == n) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-  bool target_must_fail = false;
-  switch (kind) {
-    case FaultKind::kCrashMember:
-    case FaultKind::kPartitionHeal:
-    case FaultKind::kChurnCreate:
-      FAIL() << "backend-parameterized kinds return above via RunAgreementScenario";
-      break;
-    case FaultKind::kCrashBystander: {
-      int budget = 3;
-      for (size_t n = 0; n < cluster.size() && budget > 0; ++n) {
-        if (!in_any_group(n) && fault_rng.Bernoulli(0.3)) {
-          crashed.insert(n);
-          cluster.Crash(n);
-          --budget;
-        }
-      }
-      target_must_fail = false;  // only delegates/bystanders died
-      break;
-    }
-    case FaultKind::kSignal: {
-      const size_t signaller =
-          target.members[fault_rng.UniformInt(0, static_cast<int64_t>(target.members.size()) - 1)];
-      cluster.node(signaller).fuse()->SignalFailure(target.id);
-      target_must_fail = true;
-      break;
-    }
-    case FaultKind::kPartition: {
-      // Split the group: at least one member on each side (members all on
-      // one side of a partition can still talk — that is not a failure).
-      std::vector<HostId> side;
-      for (size_t k = 0; k < std::max<size_t>(1, target.members.size() / 2); ++k) {
-        side.push_back(cluster.node(target.members[k]).host());
-      }
-      cluster.net().faults().PartitionHosts(side);
-      target_must_fail = true;
-      break;
-    }
-    case FaultKind::kMixed: {
-      const size_t victim = target.members.back();
-      crashed.insert(victim);
-      cluster.Crash(victim);
-      const size_t signaller = target.members.front();
-      cluster.node(signaller).fuse()->SignalFailure(target.id);
-      target_must_fail = true;
-      break;
-    }
-  }
-
-  // The analytic bound: ping interval + ping timeout + repair timeouts,
-  // with slack for backoff — well within 8 minutes for these parameters.
-  cluster.sim().RunFor(Duration::Minutes(8));
-
-  // Property 1: exactly-once delivery to every live member of the target.
-  if (target_must_fail) {
-    for (size_t m : target.members) {
-      if (crashed.contains(m)) {
-        continue;
-      }
-      EXPECT_EQ(target.fired[m], 1)
-          << FaultKindName(kind) << " seed " << seed << ": member " << m;
-    }
-  }
-
-  // Property 2: no handler ever fires more than once, on any group.
-  for (const auto& g : groups) {
-    for (const auto& [m, count] : g->fired) {
-      EXPECT_LE(count, 1) << "member " << m << " heard " << count << " notifications";
-    }
-  }
-
-  // Property 3: groups with no crashed member and no partitioned member may
-  // only have fired if they shared a crashed/partitioned node (none here by
-  // construction for kSignal; for crashes we verify membership overlap).
-  if (kind == FaultKind::kSignal) {
-    for (size_t gi = 1; gi < groups.size(); ++gi) {
-      int total = 0;
-      for (const auto& [m, c] : groups[gi]->fired) {
-        total += c;
-      }
-      EXPECT_EQ(total, 0) << "independent group " << gi << " was notified";
-    }
-  }
+  ExpectAgreement(cfg, kind, seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Schedules, FuseAgreementProperty,
     ::testing::Combine(::testing::Values(1001, 1002, 1003, 1004, 1005),
-                       ::testing::Values(FaultKind::kCrashMember, FaultKind::kCrashBystander,
-                                         FaultKind::kSignal, FaultKind::kPartition,
-                                         FaultKind::kPartitionHeal, FaultKind::kChurnCreate,
-                                         FaultKind::kMixed)),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, FaultKind>>& param_info) {
-      return FaultKindName(std::get<1>(param_info.param)) + "_seed" +
+                       ::testing::Values(ScenarioKind::kCrashMember, ScenarioKind::kCrashBystander,
+                                         ScenarioKind::kSignal, ScenarioKind::kPartition,
+                                         ScenarioKind::kPartitionHeal,
+                                         ScenarioKind::kChurnDuringCreate, ScenarioKind::kMixed)),
+    [](const ::testing::TestParamInfo<std::tuple<uint64_t, ScenarioKind>>& param_info) {
+      return KindName(std::get<1>(param_info.param)) + "_seed" +
              std::to_string(std::get<0>(param_info.param));
     });
 
-// ---------------------------------------------------------------------------
 // Machine failure under co-located placement (the paper's 400-nodes-on-40-
-// machines setup): crash one whole machine and require every group spanning
-// it to notify each live member exactly once, while machine-disjoint groups
-// stay silent — co-hosted repair must not leak false positives. Sim leg of
-// the backend-parameterized kMachineFailure scenario (live_parity_test.cc
-// and process_multinode_test.cc run the identical definition on wall-clock
-// and multi-tenant-process backends).
-// ---------------------------------------------------------------------------
-
+// machines setup): 9 machines of 4 co-located nodes.
 class MachineFailureProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MachineFailureProperty, SpanningGroupsNotifyDisjointGroupsStaySilent) {
   const uint64_t seed = GetParam();
   ClusterConfig cfg;
   cfg.num_nodes = 36;
-  cfg.hosts_per_machine = 4;  // 9 machines of 4 co-located nodes
+  cfg.hosts_per_machine = 4;
   cfg.seed = seed;
   cfg.topology.num_as = 60;
   cfg.cost = CostModel::Simulator();
-  SimCluster cluster(cfg);
-  cluster.Build();
-  ScenarioOptions opts;
-  opts.seed = seed;
-  opts.timing = ScenarioTiming::Sim();
-  const ScenarioResult result =
-      RunAgreementScenario(cluster, ScenarioKind::kMachineFailure, opts);
-  EXPECT_TRUE(result.ok()) << "MachineFailure seed " << seed << ": " << result.ToString();
-  EXPECT_FALSE(result.target_skipped);
-  EXPECT_GE(result.notified, 1) << result.ToString();
+  ExpectAgreement(cfg, ScenarioKind::kMachineFailure, seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MachineFailureProperty,
