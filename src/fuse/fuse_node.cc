@@ -1173,11 +1173,16 @@ void FuseNode::OnRepairRequest(const WireMessage& msg) {
     MaybeTrimAux(*g);
   }
   // The old tree links are obsolete; the new InstallChecking re-creates them.
+  // Links of the new incarnation stay: a member that is also a delegate on
+  // another member's path may already carry that member's new install, and
+  // dropping it would leave the other member monitored by nobody.
   const std::vector<HostId> old_links = [&] {
     std::vector<HostId> v;
     v.reserve(g->links.size());
     for (const LinkEntry& link : g->links) {
-      v.push_back(link.peer);
+      if (link.seq < new_seq) {
+        v.push_back(link.peer);
+      }
     }
     return v;
   }();
