@@ -388,9 +388,14 @@ void FuseNode::OnCreateRequest(const WireMessage& msg) {
     GroupState& gs = Emplace(std::move(g));
     ArmBackstop(gs);
     SendInstallChecking(gs);
-  } else {
+  } else if (!existing->is_member && !existing->is_root) {
+    // Delegate state only: another member's InstallChecking passed through
+    // here before this CreateRequest arrived. This member still owes the
+    // root its own install, or the root's install_pending keeps it and the
+    // install timeout runs a repair round on a healthy group.
     existing->is_member = true;
     existing->root = root;
+    SendInstallChecking(*existing);
   }
 
   Writer w;

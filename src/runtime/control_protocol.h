@@ -44,6 +44,18 @@ inline constexpr uint8_t kEvCreateGroupResult = 34; // seq, ok, group id
 inline constexpr uint8_t kEvNotify = 35;            // group id, host id
 inline constexpr uint8_t kEvStats = 36;             // generation, counters
 
+// The transport byte of Hello and Addrs frames. Only the real fabrics have a
+// wire identity; any other byte is a malformed frame.
+inline bool DecodeTransport(Reader& r, TransportKind* out) {
+  const uint8_t b = r.GetU8();
+  if (!r.ok() || (b != static_cast<uint8_t>(TransportKind::kTcp) &&
+                  b != static_cast<uint8_t>(TransportKind::kUdp))) {
+    return false;
+  }
+  *out = static_cast<TransportKind>(b);
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // kCmdAddrs codec. The frame carries the transport kind (a config-skew
 // tripwire: a worker built for UDP must never apply a TCP controller's map)
@@ -58,14 +70,14 @@ inline void EncodeAddrs(Writer& w, TransportKind transport, const PeerAddressMap
 }
 
 struct AddrsFrame {
-  TransportKind transport = TransportKind::kInProcess;
+  TransportKind transport = TransportKind::kTcp;
   PeerAddressMap addrs;
 };
 
 // Decodes the body of a kCmdAddrs frame (opcode byte already consumed).
+// Rejects an unknown transport byte, a truncated map and trailing bytes.
 inline bool DecodeAddrs(Reader& r, AddrsFrame* out) {
-  out->transport = static_cast<TransportKind>(r.GetU8());
-  return r.ok() && out->addrs.DecodeFrom(r) && r.Done();
+  return DecodeTransport(r, &out->transport) && out->addrs.DecodeFrom(r) && r.Done();
 }
 
 }  // namespace ctrl

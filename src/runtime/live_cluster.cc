@@ -1,17 +1,7 @@
 #include "runtime/live_cluster.h"
 
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "common/logging.h"
 #include "runtime/loop_deployment.h"
 #include "runtime/placement.h"
-
-#if defined(__linux__)
-#include "transport/datagram_transport.h"
-#include "transport/socket_transport.h"
-#endif
 
 namespace fuse {
 
@@ -34,63 +24,9 @@ LiveRuntime::Config RuntimeConfigFrom(const LiveClusterConfig& c) {
 class LiveDeployment : public LoopDeployment {
  public:
   explicit LiveDeployment(const LiveClusterConfig& config)
-      : LoopDeployment(RuntimeConfigFrom(config)),
-        transport_(config.transport),
-        seed_(config.seed),
-        placement_(Placement::Pack(config.num_nodes,
-                                   config.nodes_per_machine < 1 ? 1 : config.nodes_per_machine)) {
-#if !defined(__linux__)
-    FUSE_CHECK(transport_ == TransportKind::kInProcess)
-        << "real transports need the Linux epoll loop";
-#endif
-  }
+      : LoopDeployment(RuntimeConfigFrom(config)) {}
 
-  Transport* CreateHost(size_t index) override {
-    LiveTransport* inproc = runtime_->CreateHost();
-    if (transport_ == TransportKind::kInProcess) {
-      return inproc;
-    }
-#if defined(__linux__)
-    // Real-transport mode: every *machine* gets one fabric (socket set +
-    // fault-rule replica) shared by its co-located hosts on the shared loop,
-    // so inter-machine traffic crosses actual loopback sockets instead of the
-    // in-memory queue — the single-process analogue of a multi-tenant worker
-    // process. Hosts are created in index order, so a machine's fabric comes
-    // up with its first host.
-    const HostId h = inproc->local_host();
-    const size_t m = static_cast<size_t>(placement_.MachineOf(index));
-    Transport* t = nullptr;
-    runtime_->RunOnLoop([&] {
-      if (m == fabrics_.size()) {
-        std::unique_ptr<Fabric> fab;
-        if (transport_ == TransportKind::kUdp) {
-          DatagramFabric::Options o;
-          o.seed = seed_ ^ (0x9e3779b97f4a7c15ULL * (fabrics_.size() + 1));
-          fab = std::make_unique<DatagramFabric>(runtime_.get(), o);
-        } else {
-          fab = std::make_unique<SocketFabric>(runtime_.get());
-        }
-        const uint16_t port = fab->Listen();
-        fab->ApplyAddressMap(addrs_);  // addresses of every earlier host
-        fabrics_.push_back(Entry{std::move(fab), port});
-      }
-      FUSE_CHECK(m < fabrics_.size()) << "hosts created out of placement order";
-      Entry& e = fabrics_[m];
-      // Advertise the new host at its machine's port, to everyone (including
-      // its own fabric: co-hosted traffic still resolves, then short-circuits
-      // through the local dispatch table).
-      addrs_.Set(h, PeerEndpoint::Loopback(e.port));
-      for (auto& other : fabrics_) {
-        other.fabric->SetPeerAddr(h, e.port);
-      }
-      host_machine_[h.value] = m;
-      t = e.fabric->TransportFor(h);
-    });
-    return t;
-#else
-    return inproc;
-#endif
-  }
+  Transport* CreateHost(size_t /*index*/) override { return runtime_->CreateHost(); }
 
   void CrashHost(HostId h) override {
     // Fail-stop: the fault rules drop the host's traffic both ways, and the
@@ -98,64 +34,9 @@ class LiveDeployment : public LoopDeployment {
     // re-registers, as in the paper's stable-storage-free recovery).
     runtime_->SetHostDown(h, true);
     runtime_->UnregisterAllHandlers(h);
-#if defined(__linux__)
-    if (!fabrics_.empty()) {
-      runtime_->RunOnLoop([&] {
-        for (auto& e : fabrics_) {
-          e.fabric->faults().SetHostDown(h, true);
-        }
-        FabricOf(h)->UnregisterAllHandlers(h);
-      });
-    }
-#endif
   }
 
-  void RestartHost(HostId h) override {
-    runtime_->SetHostDown(h, false);
-#if defined(__linux__)
-    if (!fabrics_.empty()) {
-      runtime_->RunOnLoop([&] {
-        for (auto& e : fabrics_) {
-          e.fabric->faults().SetHostDown(h, false);
-        }
-      });
-    }
-#endif
-  }
-
-  void ApplyFaults(const std::function<void(FaultInjector&)>& fn) override {
-    LoopDeployment::ApplyFaults(fn);
-#if defined(__linux__)
-    // Replicate into every fabric's rule mirror, the same way the process
-    // deployment broadcasts rules into its workers.
-    if (!fabrics_.empty()) {
-      runtime_->RunOnLoop([&] {
-        for (auto& e : fabrics_) {
-          fn(e.fabric->faults());
-        }
-      });
-    }
-#endif
-  }
-
- private:
-  TransportKind transport_;
-  uint64_t seed_;
-  Placement placement_;
-#if defined(__linux__)
-  struct Entry {
-    std::unique_ptr<Fabric> fabric;
-    uint16_t port = 0;
-  };
-  Fabric* FabricOf(HostId h) {
-    const auto it = host_machine_.find(h.value);
-    FUSE_CHECK(it != host_machine_.end()) << "no fabric hosts " << h.value;
-    return fabrics_[it->second].fabric.get();
-  }
-  std::vector<Entry> fabrics_;  // one per machine; loop-thread state
-  std::unordered_map<uint64_t, size_t> host_machine_;
-  PeerAddressMap addrs_;  // authoritative host -> endpoint map
-#endif
+  void RestartHost(HostId h) override { runtime_->SetHostDown(h, false); }
 };
 
 LiveClusterConfig LiveClusterConfig::FastProtocol(int num_nodes, uint64_t seed) {

@@ -5,6 +5,12 @@
 // event pumping. With this, every fault schedule written against the harness
 // (tests/property schedules, scenario definitions) runs unchanged against
 // real asynchrony — the paper's live-cluster configuration (section 7).
+//
+// Its one messaging layer is LiveRuntime's in-memory delivery (per-send
+// latency and loss drawn from the seed). Real TCP/UDP sockets are the process
+// backend's (runtime/process_cluster.h): each backend has exactly one
+// messaging layer, per the paper's "identical code base except for the base
+// messaging layer".
 #ifndef FUSE_RUNTIME_LIVE_CLUSTER_H_
 #define FUSE_RUNTIME_LIVE_CLUSTER_H_
 
@@ -12,7 +18,6 @@
 
 #include "runtime/cluster.h"
 #include "runtime/live_runtime.h"
-#include "transport/fabric.h"
 
 namespace fuse {
 
@@ -26,14 +31,8 @@ struct LiveClusterConfig {
   FuseParams fuse;
   int join_batch = 4;
   HarnessTiming timing;
-  // Messaging layer between hosts. kInProcess keeps LiveRuntime's in-memory
-  // delivery; kTcp/kUdp give every *machine* its own real fabric on the
-  // shared loop, so inter-machine traffic crosses actual loopback sockets
-  // (Linux-only; non-Linux builds FUSE_CHECK on a real transport).
-  TransportKind transport = TransportKind::kInProcess;
   // Co-locates this many nodes per machine: one fault domain for
-  // CrashMachine, and (on a real transport) one shared fabric + port — the
-  // in-process analogue of a multi-tenant worker process.
+  // CrashMachine (the nodes still share the one in-process messaging layer).
   int nodes_per_machine = 1;
 
   // Preset with protocol constants scaled from simulated minutes to live

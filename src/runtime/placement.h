@@ -8,8 +8,8 @@
 //                router (SimDeployment::CreateHost starts a new machine at
 //                every placement boundary);
 //   * live     — nodes_per_machine groups nodes for CrashMachine scheduling
-//                (each node still owns its fabric; the machine is a fault
-//                domain, not a process);
+//                (every node shares LiveRuntime's one in-process messaging
+//                layer; the machine is a fault domain, not a process);
 //   * process  — num_workers multi-tenant worker processes, each hosting
 //                nodes_per_machine FuseNodes behind one epoll loop + fabric;
 //                CrashMachine is one genuine SIGKILL.

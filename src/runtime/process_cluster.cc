@@ -91,6 +91,13 @@ struct Worker {
   void HandleCommand(const uint8_t* data, size_t len);
 };
 
+// A control frame (command or event) is acted on only once it decoded whole:
+// an underflowing Reader returns zeros (host 0, boot 0, a cut-short member
+// list), so a truncated or padded frame must fail loudly instead.
+void ExpectWhole(const Reader& r, const char* frame, uint32_t widx) {
+  FUSE_CHECK(r.Done()) << "malformed " << frame << " frame (worker " << widx << ")";
+}
+
 void Worker::HandleCommand(const uint8_t* data, size_t len) {
   Reader r(data, len);
   const uint8_t op = r.GetU8();
@@ -110,7 +117,7 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
     case kCmdFaults: {
       // A truncated rule set must fail loudly here, not as a mystifying
       // agreement violation later (DecodeFrom clears before decoding).
-      FUSE_CHECK(fabric->faults().DecodeFrom(r))
+      FUSE_CHECK(fabric->faults().DecodeFrom(r) && r.Done())
           << "worker " << widx << ": malformed fault rules";
       break;
     }
@@ -118,13 +125,16 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       const uint64_t host = r.GetU64();
       std::string name = r.GetString();
       const uint64_t numeric = r.GetU64();
+      ExpectWhole(r, "CreateNode", widx);
       FUSE_CHECK(!nodes.contains(host)) << "worker " << widx << ": duplicate node " << host;
       nodes[host] = std::make_unique<Node>(fabric->TransportFor(HostId(host)), std::move(name),
                                            NumericId(numeric), cfg.overlay, cfg.fuse);
       break;
     }
     case kCmdJoinFirst: {
-      NodeFor(r.GetU64())->overlay()->JoinAsFirst();
+      const uint64_t host = r.GetU64();
+      ExpectWhole(r, "JoinFirst", widx);
+      NodeFor(host)->overlay()->JoinAsFirst();
       break;
     }
     case kCmdJoin: {
@@ -132,6 +142,7 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       const uint64_t boot = r.GetU64();
       const uint64_t seq = r.GetU64();
       const bool start_maint = r.GetU8() != 0;
+      ExpectWhole(r, "Join", widx);
       Node* n = NodeFor(host);
       auto reply = [this, host, seq, start_maint](const Status& s) {
         if (s.ok() && start_maint) {
@@ -161,6 +172,7 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       // marking the host down (the controller broadcasts the same rule to
       // every peer worker) — and parked rather than destroyed.
       const uint64_t host = r.GetU64();
+      ExpectWhole(r, "KillNode", widx);
       const auto it = nodes.find(host);
       FUSE_CHECK(it != nodes.end()) << "worker " << widx << ": kill of unknown node " << host;
       it->second->ShutdownAll();
@@ -171,11 +183,15 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       break;
     }
     case kCmdStartMaint: {
-      NodeFor(r.GetU64())->overlay()->StartMaintenance();
+      const uint64_t host = r.GetU64();
+      ExpectWhole(r, "StartMaint", widx);
+      NodeFor(host)->overlay()->StartMaintenance();
       break;
     }
     case kCmdLeafExchange: {
-      NodeFor(r.GetU64())->overlay()->RunLeafExchangeOnce();
+      const uint64_t host = r.GetU64();
+      ExpectWhole(r, "LeafExchange", widx);
+      NodeFor(host)->overlay()->RunLeafExchangeOnce();
       break;
     }
     case kCmdCreateGroup: {
@@ -190,6 +206,7 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
         ref.host = HostId(r.GetU64());
         refs.push_back(std::move(ref));
       }
+      ExpectWhole(r, "CreateGroup", widx);
       NodeFor(root)->fuse()->CreateGroup(
           std::move(refs), [this, seq](const Status& s, FuseId id) {
             Writer w;
@@ -208,6 +225,7 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       FuseId id;
       id.hi = r.GetU64();
       id.lo = r.GetU64();
+      ExpectWhole(r, "Watch", widx);
       NodeFor(host)->fuse()->RegisterFailureHandler(id, [this, host, id](FuseId) {
         Writer w;
         w.PutU8(kEvNotify);
@@ -223,6 +241,7 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       FuseId id;
       id.hi = r.GetU64();
       id.lo = r.GetU64();
+      ExpectWhole(r, "Signal", widx);
       // Like the in-process harness: a node killed in place has nothing to
       // signal with.
       if (const auto it = nodes.find(host); it != nodes.end()) {
@@ -234,6 +253,7 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       // Snapshot of this worker's transport event counters (syscalls,
       // datagrams, retransmits, dedupes); the controller sums across workers.
       const uint64_t gen = r.GetU64();
+      ExpectWhole(r, "Stats", widx);
       Writer w;
       w.PutU8(kEvStats);
       w.PutU64(gen);
@@ -766,8 +786,10 @@ class ProcessDeployment : public LoopDeployment {
         r.GetU32();  // widx (redundant: the channel identifies the worker)
         r.GetU32();  // incarnation
         w.port = r.GetU16();
-        const auto tk = static_cast<TransportKind>(r.GetU8());
-        FUSE_CHECK(r.ok() && tk == cfg_.transport)
+        TransportKind tk = TransportKind::kTcp;
+        FUSE_CHECK(DecodeTransport(r, &tk) && r.Done())
+            << "malformed Hello frame (worker " << widx << ")";
+        FUSE_CHECK(tk == cfg_.transport)
             << "worker " << widx << " came up on transport " << TransportKindName(tk)
             << ", controller expects " << TransportKindName(cfg_.transport);
         if (w.kill_on_ready) {
@@ -814,6 +836,7 @@ class ProcessDeployment : public LoopDeployment {
         const uint64_t seq = r.GetU64();
         const bool ok = r.GetU8() != 0;
         const std::string msg = r.GetString();
+        ExpectWhole(r, "JoinResult", widx);
         const auto it = pending_joins_.find(seq);
         if (it == pending_joins_.end()) {
           return;
@@ -832,6 +855,7 @@ class ProcessDeployment : public LoopDeployment {
         FuseId id;
         id.hi = r.GetU64();
         id.lo = r.GetU64();
+        ExpectWhole(r, "CreateGroupResult", widx);
         const auto it = pending_creates_.find(seq);
         if (it == pending_creates_.end()) {
           return;
@@ -847,6 +871,7 @@ class ProcessDeployment : public LoopDeployment {
         const uint64_t host = r.GetU64();
         const uint64_t hi = r.GetU64();
         const uint64_t lo = r.GetU64();
+        ExpectWhole(r, "Notify", widx);
         const auto it = watches_.find(std::make_tuple(hi, lo, host));
         if (it == watches_.end()) {
           return;
@@ -857,16 +882,18 @@ class ProcessDeployment : public LoopDeployment {
         return;
       }
       case kEvStats: {
-        if (r.GetU64() != stats_gen_) {
-          return;  // stale reply from a previous collection
-        }
+        const uint64_t gen = r.GetU64();
         const uint32_t n = r.GetU32();
-        std::map<std::string, uint64_t>& slot = stats_by_worker_[widx];
+        std::map<std::string, uint64_t> counters;
         for (uint32_t i = 0; i < n && r.ok(); ++i) {
           std::string name = r.GetString();
-          const uint64_t value = r.GetU64();
-          slot[std::move(name)] = value;
+          counters[std::move(name)] = r.GetU64();
         }
+        ExpectWhole(r, "Stats", widx);
+        if (gen != stats_gen_) {
+          return;  // stale reply from a previous collection
+        }
+        stats_by_worker_[widx] = std::move(counters);
         ++stats_received_;
         return;
       }

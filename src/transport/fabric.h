@@ -5,13 +5,16 @@
 // mirrors the FaultInjector rule set so fault schedules apply to real
 // traffic.
 //
-// Deployments select a fabric per run (ClusterConfig-level `transport`):
-//   * kInProcess — LiveRuntime's in-memory delivery (no fabric; live
-//     backend's default);
-//   * kTcp      — SocketFabric: length-prefixed frames over nonblocking
-//     loopback TCP, per-message receiver acks, broken-connection errors;
-//   * kUdp      — DatagramFabric: coalesced datagrams over nonblocking UDP,
+// Real sockets are the process backend's messaging layer: ProcessCluster
+// selects a fabric per run (ProcessClusterConfig::transport) and every worker
+// process builds one. The sim backends use SimFabric/ShardedFabric and
+// LiveCluster uses LiveRuntime's in-process delivery; neither is a Fabric.
+//   * kTcp — SocketFabric: length-prefixed frames over nonblocking loopback
+//     TCP, per-message receiver acks, broken-connection errors;
+//   * kUdp — DatagramFabric: coalesced datagrams over nonblocking UDP,
 //     app-level ack/retransmit with congestion restraint, loss is silence.
+// The enum values are wire bytes (the control protocol's Hello and Addrs
+// frames carry them), so they stay fixed.
 #ifndef FUSE_TRANSPORT_FABRIC_H_
 #define FUSE_TRANSPORT_FABRIC_H_
 
@@ -24,15 +27,12 @@
 namespace fuse {
 
 enum class TransportKind : uint8_t {
-  kInProcess = 0,
   kTcp = 1,
   kUdp = 2,
 };
 
 inline const char* TransportKindName(TransportKind k) {
   switch (k) {
-    case TransportKind::kInProcess:
-      return "inproc";
     case TransportKind::kTcp:
       return "tcp";
     case TransportKind::kUdp:

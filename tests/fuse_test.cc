@@ -384,6 +384,30 @@ TEST(FuseQuiescenceTest, NoFalsePositivesInHealthyNetwork) {
   EXPECT_EQ(rec.TotalFirings(), 0) << "healthy network produced false positives";
 }
 
+// Regression: a member can already hold delegate state for a group when its
+// CreateRequest arrives, because another member's InstallChecking routed
+// through it first (common under the Cluster cost model, whose serialized
+// sends hold back the root's last CreateRequests). That member still owes the
+// root its own install, or the root repairs a healthy group one
+// install_timeout later.
+TEST(FuseCreateTest, DelegateTurnedMemberInstallsWithoutRepair) {
+  ClusterConfig cfg = SmallConfig(40, 117);
+  cfg.cost = CostModel::Cluster();
+  SimCluster cluster(cfg);
+  cluster.Build();
+  for (int g = 0; g < 30; ++g) {
+    const auto members = cluster.PickLiveNodes(8);
+    Status status;
+    CreateGroupSync(cluster, members[0], members, &status);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  cluster.sim().RunFor(cfg.fuse.install_timeout * int64_t{2});
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(cluster.node(i).fuse()->stats().repairs_initiated, 0u)
+        << "root " << i << " repaired a group with no fault";
+  }
+}
+
 TEST(FuseSteadyStateTest, NoExtraMessagesWithoutFailures) {
   // Paper section 7.5: in the absence of failures, FUSE groups impose no
   // messages beyond overlay maintenance (only the piggybacked hash).

@@ -34,26 +34,17 @@ void ExpectAgreement(ClusterHarness& cluster, ScenarioKind kind) {
   }
 }
 
-// Parameterized over (scenario, transport): the same schedules run on the
-// in-process message layer and — on Linux — on the per-host UDP datagram
-// fabrics, where a crash is observed as silence + retransmit exhaustion
-// rather than an error signal. CI selects the UDP leg by test name (-R Udp).
+// Parameterized over (scenario, nodes, nodes per machine). LiveCluster's one
+// messaging layer is LiveRuntime's in-process delivery; the same schedules on
+// real TCP/UDP sockets are process_parity_test.cc's and
+// process_multinode_test.cc's legs.
 class LiveParityScenario
-    : public ::testing::TestWithParam<std::tuple<ScenarioKind, TransportKind>> {};
+    : public ::testing::TestWithParam<std::tuple<ScenarioKind, int, int>> {};
 
 TEST_P(LiveParityScenario, AgreementHoldsOverWallClock) {
-  const ScenarioKind kind = std::get<0>(GetParam());
-  const TransportKind transport = std::get<1>(GetParam());
-#if !defined(__linux__)
-  if (transport != TransportKind::kInProcess) {
-    GTEST_SKIP() << "real transports need the Linux epoll loop";
-  }
-#endif
-  // ChurnDuringCreate draws groups from the stable lower index half, so it
-  // needs headroom over max_group_size.
-  const int num_nodes = kind == ScenarioKind::kChurnDuringCreate ? 16 : 10;
+  const auto [kind, num_nodes, nodes_per_machine] = GetParam();
   LiveClusterConfig cfg = LiveClusterConfig::FastProtocol(num_nodes, /*seed=*/42);
-  cfg.transport = transport;
+  cfg.nodes_per_machine = nodes_per_machine;
   LiveCluster cluster(cfg);
   cluster.Build();
   ExpectAgreement(cluster, kind);
@@ -61,48 +52,21 @@ TEST_P(LiveParityScenario, AgreementHoldsOverWallClock) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, LiveParityScenario,
-    ::testing::Combine(::testing::Values(ScenarioKind::kCrashMember,
-                                         ScenarioKind::kPartitionHeal,
-                                         ScenarioKind::kChurnDuringCreate, ScenarioKind::kSignal),
-                       ::testing::Values(TransportKind::kInProcess, TransportKind::kUdp)),
-    [](const ::testing::TestParamInfo<std::tuple<ScenarioKind, TransportKind>>& pinfo) {
-      std::string name = ScenarioKindName(std::get<0>(pinfo.param));
-      if (std::get<1>(pinfo.param) == TransportKind::kUdp) {
-        name += "Udp";
-      }
-      return name;
+    ::testing::Values(std::make_tuple(ScenarioKind::kCrashMember, 10, 1),
+                      std::make_tuple(ScenarioKind::kPartitionHeal, 10, 1),
+                      // Draws groups from the stable lower index half, so it
+                      // needs headroom over max_group_size.
+                      std::make_tuple(ScenarioKind::kChurnDuringCreate, 16, 1),
+                      std::make_tuple(ScenarioKind::kSignal, 10, 1),
+                      // Three nodes per machine: one machine dies as a unit;
+                      // every group spanning it must notify each live member
+                      // exactly once, and machine-disjoint groups must stay
+                      // silent (the sim leg in property_test.cc and the
+                      // multi-tenant process leg run the same schedule).
+                      std::make_tuple(ScenarioKind::kMachineFailure, 12, 3)),
+    [](const ::testing::TestParamInfo<std::tuple<ScenarioKind, int, int>>& pinfo) {
+      return std::string(ScenarioKindName(std::get<0>(pinfo.param)));
     });
-
-// Machine failure on the wall-clock backend: nodes_per_machine=3 groups the
-// 12 nodes into 4 fault domains (on the real transports, co-located nodes
-// also share one fabric and one port — the single-process analogue of a
-// multi-tenant worker). One machine dies as a unit; every group spanning it
-// must notify each live member exactly once, and machine-disjoint groups
-// must stay silent. Same schedule as the sim leg (property_test.cc) and the
-// multi-tenant process leg (process_multinode_test.cc).
-class LiveMachineFailure : public ::testing::TestWithParam<TransportKind> {};
-
-TEST_P(LiveMachineFailure, SpanningGroupsNotifyDisjointGroupsStaySilent) {
-  const TransportKind transport = GetParam();
-#if !defined(__linux__)
-  if (transport != TransportKind::kInProcess) {
-    GTEST_SKIP() << "real transports need the Linux epoll loop";
-  }
-#endif
-  LiveClusterConfig cfg = LiveClusterConfig::FastProtocol(12, /*seed=*/42);
-  cfg.transport = transport;
-  cfg.nodes_per_machine = 3;
-  LiveCluster cluster(cfg);
-  cluster.Build();
-  ExpectAgreement(cluster, ScenarioKind::kMachineFailure);
-}
-
-INSTANTIATE_TEST_SUITE_P(Transports, LiveMachineFailure,
-                         ::testing::Values(TransportKind::kInProcess, TransportKind::kUdp),
-                         [](const ::testing::TestParamInfo<TransportKind>& pinfo) {
-                           return std::string(pinfo.param == TransportKind::kUdp ? "Udp"
-                                                                                 : "InProcess");
-                         });
 
 // Fault-rule parity at the runtime level: partitions applied through the
 // same FaultInjector vocabulary the sim fabric consults, exercised against

@@ -9,7 +9,9 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "runtime/control_protocol.h"
 #include "runtime/live_runtime.h"
 #include "runtime/node.h"
 #include "runtime/sim_cluster.h"
@@ -363,6 +365,55 @@ TEST(LiveRuntimeStopTest, StopReleasesPendingRunOnLoop) {
     // Post-stop calls refuse immediately.
     EXPECT_FALSE(runtime->RunOnLoop([] {}));
   }
+}
+
+// The kCmdAddrs codec of the ProcessCluster control protocol: a well-formed
+// frame round-trips, and every malformed shape is rejected instead of
+// decoding into zeros — a transport byte other than kTcp/kUdp (0 and 3), a
+// truncated map and trailing bytes.
+std::vector<uint8_t> AddrsFrameBytes(uint8_t transport_byte) {
+  PeerAddressMap addrs;
+  addrs.Set(HostId(0), PeerEndpoint::Loopback(9000));
+  addrs.Set(HostId(5), PeerEndpoint{0x0a010203, 9001});
+  Writer w;
+  ctrl::EncodeAddrs(w, TransportKind::kUdp, addrs);
+  std::vector<uint8_t> bytes = w.bytes();
+  bytes[1] = transport_byte;  // bytes[0] is the opcode
+  return bytes;
+}
+
+bool DecodeAddrsBody(const std::vector<uint8_t>& frame, ctrl::AddrsFrame* out) {
+  Reader r(frame);
+  EXPECT_EQ(r.GetU8(), ctrl::kCmdAddrs);
+  return ctrl::DecodeAddrs(r, out);
+}
+
+TEST(ControlProtocolTest, DecodeAddrsRoundTripsTheRealTransports) {
+  for (const TransportKind tk : {TransportKind::kTcp, TransportKind::kUdp}) {
+    ctrl::AddrsFrame f;
+    ASSERT_TRUE(DecodeAddrsBody(AddrsFrameBytes(static_cast<uint8_t>(tk)), &f))
+        << TransportKindName(tk);
+    EXPECT_EQ(f.transport, tk);
+    ASSERT_EQ(f.addrs.size(), 2u);
+    EXPECT_EQ(*f.addrs.Find(HostId(0)), PeerEndpoint::Loopback(9000));
+    EXPECT_EQ(f.addrs.Find(HostId(5))->ToString(), "10.1.2.3:9001");
+  }
+}
+
+TEST(ControlProtocolTest, DecodeAddrsRejectsMalformedFrames) {
+  ctrl::AddrsFrame f;
+  EXPECT_FALSE(DecodeAddrsBody(AddrsFrameBytes(0), &f)) << "transport byte 0";
+  EXPECT_FALSE(DecodeAddrsBody(AddrsFrameBytes(3), &f)) << "transport byte 3";
+
+  const std::vector<uint8_t> whole = AddrsFrameBytes(static_cast<uint8_t>(TransportKind::kTcp));
+  // Every proper prefix past the opcode is a truncated frame.
+  for (size_t len = 1; len < whole.size(); ++len) {
+    const std::vector<uint8_t> cut(whole.begin(), whole.begin() + len);
+    EXPECT_FALSE(DecodeAddrsBody(cut, &f)) << "truncated to " << len << " of " << whole.size();
+  }
+  std::vector<uint8_t> padded = whole;
+  padded.push_back(0);
+  EXPECT_FALSE(DecodeAddrsBody(padded, &f)) << "trailing byte";
 }
 
 }  // namespace
