@@ -18,6 +18,8 @@
 #ifndef FUSE_COMMON_FLAT_MAP_H_
 #define FUSE_COMMON_FLAT_MAP_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -161,6 +163,18 @@ class FlatMap {
   size_t tombstones_ = 0;
 };
 
+namespace flat_map_internal {
+
+// Probe start for a 128-bit key, shared by Flat128Map and Flat128Set.
+inline size_t Mix128(uint64_t hi, uint64_t lo) {
+  uint64_t x = hi ^ (lo * 0x9e3779b97f4a7c15ULL);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<size_t>(x ^ (x >> 31));
+}
+
+}  // namespace flat_map_internal
+
 // Flat128Map<V>: the same open-addressed table keyed by a 128-bit (hi, lo)
 // pair — the shape of a FuseId. Folding 128-bit group IDs down to 64 bits
 // and keying a FlatMap on the fold would make a hash collision between two
@@ -175,7 +189,7 @@ class Flat128Map {
       return nullptr;
     }
     const size_t mask = states_.size() - 1;
-    for (size_t i = Mix(hi, lo) & mask;; i = (i + 1) & mask) {
+    for (size_t i = flat_map_internal::Mix128(hi, lo) & mask;; i = (i + 1) & mask) {
       if (states_[i] == kEmpty) {
         return nullptr;
       }
@@ -197,7 +211,7 @@ class Flat128Map {
     }
     const size_t mask = states_.size() - 1;
     size_t insert_at = SIZE_MAX;
-    for (size_t i = Mix(hi, lo) & mask;; i = (i + 1) & mask) {
+    for (size_t i = flat_map_internal::Mix128(hi, lo) & mask;; i = (i + 1) & mask) {
       if (states_[i] == kFull && keys_[i].first == hi && keys_[i].second == lo) {
         return values_[i];
       }
@@ -224,7 +238,7 @@ class Flat128Map {
       return false;
     }
     const size_t mask = states_.size() - 1;
-    for (size_t i = Mix(hi, lo) & mask;; i = (i + 1) & mask) {
+    for (size_t i = flat_map_internal::Mix128(hi, lo) & mask;; i = (i + 1) & mask) {
       if (states_[i] == kEmpty) {
         return false;
       }
@@ -263,13 +277,6 @@ class Flat128Map {
  private:
   enum State : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
 
-  static size_t Mix(uint64_t hi, uint64_t lo) {
-    uint64_t x = hi ^ (lo * 0x9e3779b97f4a7c15ULL);
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(x ^ (x >> 31));
-  }
-
   void Grow() {
     const size_t new_cap =
         states_.empty() ? 16 : ((size_ + 1) * 4 > states_.size() * 3 ? states_.size() * 2
@@ -286,7 +293,7 @@ class Flat128Map {
       if (old_states[i] != kFull) {
         continue;
       }
-      size_t j = Mix(old_keys[i].first, old_keys[i].second) & mask;
+      size_t j = flat_map_internal::Mix128(old_keys[i].first, old_keys[i].second) & mask;
       while (states_[j] == kFull) {
         j = (j + 1) & mask;
       }
@@ -299,6 +306,133 @@ class Flat128Map {
   std::vector<uint8_t> states_;
   std::vector<std::pair<uint64_t, uint64_t>> keys_;
   std::vector<V> values_;
+  size_t size_ = 0;
+  size_t tombstones_ = 0;
+};
+
+// Flat128Set: Flat128Map's probe scheme with keys and slot states only, for
+// sets of 128-bit IDs. Its first table has 4 slots (Flat128Map starts at 16):
+// FUSE keeps one set per overlay neighbor and most neighbors carry one to
+// three IDs, so the small start is what keeps a large overlay's idle links
+// cheap. Like the maps it never shrinks; compaction happens on growth.
+// Iteration is probe order, which depends on the insert/erase history —
+// code whose output may depend on the order takes a sorted snapshot.
+class Flat128Set {
+ public:
+  bool Contains(uint64_t hi, uint64_t lo) const {
+    if (states_.empty()) {
+      return false;
+    }
+    const size_t mask = states_.size() - 1;
+    for (size_t i = flat_map_internal::Mix128(hi, lo) & mask;; i = (i + 1) & mask) {
+      if (states_[i] == kEmpty) {
+        return false;
+      }
+      if (states_[i] == kFull && keys_[i].first == hi && keys_[i].second == lo) {
+        return true;
+      }
+    }
+  }
+
+  // Returns true if the key was absent and is now inserted.
+  bool Insert(uint64_t hi, uint64_t lo) {
+    if (states_.empty() || (size_ + tombstones_ + 1) * 4 > states_.size() * 3) {
+      Grow();
+    }
+    const size_t mask = states_.size() - 1;
+    size_t insert_at = SIZE_MAX;
+    for (size_t i = flat_map_internal::Mix128(hi, lo) & mask;; i = (i + 1) & mask) {
+      if (states_[i] == kFull && keys_[i].first == hi && keys_[i].second == lo) {
+        return false;
+      }
+      if (states_[i] == kTombstone && insert_at == SIZE_MAX) {
+        insert_at = i;
+      }
+      if (states_[i] == kEmpty) {
+        if (insert_at == SIZE_MAX) {
+          insert_at = i;
+        } else {
+          --tombstones_;  // reusing a tombstone slot
+        }
+        states_[insert_at] = kFull;
+        keys_[insert_at] = {hi, lo};
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+  // Returns true if the key was present and is now erased.
+  bool Erase(uint64_t hi, uint64_t lo) {
+    if (size_ == 0) {
+      return false;
+    }
+    const size_t mask = states_.size() - 1;
+    for (size_t i = flat_map_internal::Mix128(hi, lo) & mask;; i = (i + 1) & mask) {
+      if (states_[i] == kEmpty) {
+        return false;
+      }
+      if (states_[i] == kFull && keys_[i].first == hi && keys_[i].second == lo) {
+        states_[i] = kTombstone;
+        --size_;
+        ++tombstones_;
+        return true;
+      }
+    }
+  }
+
+  // Calls fn(hi, lo) for every key, in probe order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t i = 0; i < states_.size(); ++i) {
+      if (states_[i] == kFull) {
+        fn(keys_[i].first, keys_[i].second);
+      }
+    }
+  }
+
+  // Appends every key to `out` as K{hi, lo}, in ascending (hi, lo) order
+  // (K's operator< must be that order), independent of the history.
+  template <typename K>
+  void AppendSorted(std::vector<K>& out) const {
+    const size_t start = out.size();
+    ForEach([&out](uint64_t hi, uint64_t lo) { out.push_back(K{hi, lo}); });
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // Slots allocated; each costs a 16-byte key and a 1-byte state.
+  size_t capacity() const { return states_.size(); }
+
+ private:
+  enum State : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
+
+  void Grow() {
+    const size_t new_cap =
+        states_.empty() ? 4 : ((size_ + 1) * 4 > states_.size() * 3 ? states_.size() * 2
+                                                                    : states_.size());
+    std::vector<uint8_t> old_states = std::move(states_);
+    std::vector<std::pair<uint64_t, uint64_t>> old_keys = std::move(keys_);
+    states_.assign(new_cap, kEmpty);
+    keys_.assign(new_cap, {0, 0});
+    tombstones_ = 0;
+    const size_t mask = new_cap - 1;
+    for (size_t i = 0; i < old_states.size(); ++i) {
+      if (old_states[i] != kFull) {
+        continue;
+      }
+      size_t j = flat_map_internal::Mix128(old_keys[i].first, old_keys[i].second) & mask;
+      while (states_[j] == kFull) {
+        j = (j + 1) & mask;
+      }
+      states_[j] = kFull;
+      keys_[j] = old_keys[i];
+    }
+  }
+
+  std::vector<uint8_t> states_;
+  std::vector<std::pair<uint64_t, uint64_t>> keys_;
   size_t size_ = 0;
   size_t tombstones_ = 0;
 };

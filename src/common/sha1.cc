@@ -30,28 +30,26 @@ void Sha1::ProcessBlock(const uint8_t* block) {
   }
 
   uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    uint32_t f;
-    uint32_t k;
-    if (i < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const uint32_t tmp = Rotl32(a, 5) + f + e + k + w[i];
+  // One loop per round function, so no iteration branches on the round.
+  const auto step = [&](uint32_t f, uint32_t k, uint32_t wi) {
+    const uint32_t tmp = Rotl32(a, 5) + f + e + k + wi;
     e = d;
     d = c;
     c = Rotl32(b, 30);
     b = a;
     a = tmp;
+  };
+  for (int i = 0; i < 20; ++i) {
+    step((b & c) | ((~b) & d), 0x5A827999u, w[i]);
+  }
+  for (int i = 20; i < 40; ++i) {
+    step(b ^ c ^ d, 0x6ED9EBA1u, w[i]);
+  }
+  for (int i = 40; i < 60; ++i) {
+    step((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, w[i]);
+  }
+  for (int i = 60; i < 80; ++i) {
+    step(b ^ c ^ d, 0xCA62C1D6u, w[i]);
   }
   h_[0] += a;
   h_[1] += b;
@@ -95,14 +93,22 @@ void Sha1::UpdateU64(uint64_t v) {
 }
 
 Sha1Digest Sha1::Finish() {
+  // Padding: 0x80, zeros up to byte 56 of a block, then the 64-bit
+  // big-endian message length in bits. Update keeps buffer_len_ < 64, so the
+  // 0x80 always fits; when it lands past byte 55 the length spills into one
+  // more block.
   const uint64_t bit_len = total_bytes_ * 8;
-  const uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  UpdateU64(bit_len);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - i * 8));
+  }
+  ProcessBlock(buffer_);
 
   Sha1Digest d;
   for (int i = 0; i < 5; ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -23,6 +24,25 @@ std::vector<uint8_t> EncodeIdSeq(const FuseId& id, uint32_t seq) {
   WriteFuseId(w, id);
   w.PutU32(seq);
   return w.Take();
+}
+
+// Member-name sets (CreatePending, RepairPending, RepairAux): a vector with
+// set semantics, since groups are small.
+void AddName(std::vector<std::string>& names, const std::string& name) {
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    names.push_back(name);
+  }
+}
+
+void EraseName(std::vector<std::string>& names, const std::string& name) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it != names.end()) {
+    names.erase(it);
+  }
+}
+
+bool HasName(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 }  // namespace
@@ -181,8 +201,8 @@ size_t FuseNode::ApproxGroupBytes() const {
     }
   });
   for (const auto& [peer, pl] : links_by_peer_) {
-    // Red-black tree node: key + parent/left/right pointers + color word.
-    total += sizeof(PeerLinks) + pl.ids.size() * (sizeof(FuseId) + 4 * sizeof(void*));
+    // Every slot of the open-addressed ID set: a 16-byte key and a state byte.
+    total += sizeof(PeerLinks) + pl.ids.capacity() * (sizeof(FuseId) + 1);
   }
   return total;
 }
@@ -222,9 +242,8 @@ size_t FuseNode::CountArmedGroupTimers() const {
 bool FuseNode::DebugVerifyLinkDigests() const {
   for (const auto& [peer, pl] : links_by_peer_) {
     Sha1Digest expect{};
-    for (const FuseId& id : pl.ids) {
-      XorInto(expect, id);
-    }
+    // XOR is order-independent: probe order is as good as sorted here.
+    pl.ids.ForEach([&expect](uint64_t hi, uint64_t lo) { XorInto(expect, FuseId{hi, lo}); });
     if (expect != pl.digest) {
       return false;
     }
@@ -263,7 +282,7 @@ void FuseNode::CreateGroup(std::vector<NodeRef> members, CreateCallback cb) {
   CreatePending p;
   p.members = others;
   for (const auto& m : others) {
-    p.awaiting_reply.insert(m.name);
+    AddName(p.awaiting_reply, m.name);
   }
   p.cb = std::move(cb);
   p.timer.Bind(env);
@@ -311,10 +330,10 @@ void FuseNode::FinishCreate(FuseId id, const Status& status) {
   g.id = id;
   g.is_root = true;
   g.members = p.members;
-  std::set<std::string> install_pending;
+  std::vector<std::string> install_pending;
   for (const auto& m : p.members) {
-    if (!p.installed_early.contains(m.name)) {
-      install_pending.insert(m.name);
+    if (!HasName(p.installed_early, m.name)) {
+      AddName(install_pending, m.name);
     }
   }
   GroupState& gs = Emplace(std::move(g));
@@ -426,7 +445,7 @@ void FuseNode::OnCreateReply(const WireMessage& msg) {
     FinishCreate(id, Status::Failed("member refused"));
     return;
   }
-  it->second.awaiting_reply.erase(member.name);
+  EraseName(it->second.awaiting_reply, member.name);
   if (it->second.awaiting_reply.empty()) {
     FinishCreate(id, Status::Ok());
   }
@@ -466,7 +485,7 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
     if (g != nullptr && g->is_root) {
       if (seq == g->seq && g->aux != nullptr) {
         RepairAux& aux = *g->aux;
-        aux.install_pending.erase(member.name);
+        EraseName(aux.install_pending, member.name);
         if (aux.install_pending.empty()) {
           aux.install_timer.Cancel();
           if (aux.repair == nullptr && aux.rerepair_requested) {
@@ -486,7 +505,7 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
     const auto it = creating_.find(id);
     if (it != creating_.end()) {
       if (seq == 0) {
-        it->second.installed_early.insert(member.name);
+        AddName(it->second.installed_early, member.name);
         // Monitor the last hop once the root state exists; easiest is to
         // defer by re-adding on completion — record via a synthetic pending
         // link. We instead install the link immediately after create
@@ -550,7 +569,7 @@ void FuseNode::XorInto(Sha1Digest& digest, FuseId id) {
 
 void FuseNode::AddLinkIndex(FuseId id, HostId peer) {
   PeerLinks& pl = links_by_peer_[peer];
-  if (pl.ids.insert(id).second) {
+  if (pl.ids.Insert(id.hi, id.lo)) {
     XorInto(pl.digest, id);
   }
   // A fresh install counts as hearing from the peer: the sweep must not tear
@@ -562,7 +581,7 @@ void FuseNode::AddLinkIndex(FuseId id, HostId peer) {
 void FuseNode::EraseLinkIndex(FuseId id, HostId peer) {
   const auto it = links_by_peer_.find(peer);
   if (it != links_by_peer_.end()) {
-    if (it->second.ids.erase(id) > 0) {
+    if (it->second.ids.Erase(id.hi, id.lo)) {
       XorInto(it->second.digest, id);  // XOR is self-inverse: this removes it
     }
     if (it->second.ids.empty()) {
@@ -663,9 +682,12 @@ void FuseNode::SweepStalePeers() {
   // reentrant activation owns its own buffer.
   std::vector<std::pair<HostId, FuseId>> stale = std::move(sweep_scratch_);
   stale.clear();
+  std::vector<FuseId> ids;
   for (const auto& [peer, pl] : links_by_peer_) {
     if (verdict - pl.last_refresh >= params_.link_liveness_timeout) {
-      for (const FuseId& id : pl.ids) {
+      ids.clear();
+      pl.ids.AppendSorted(ids);
+      for (const FuseId& id : ids) {
         stale.emplace_back(peer, id);
       }
     }
@@ -721,7 +743,8 @@ void FuseNode::OnOverlayNeighborFailed(HostId neighbor) {
   // into another neighbor failure, and each activation must own its
   // snapshot; the innermost one donates the capacity back on return).
   std::vector<FuseId> ids = std::move(fail_scratch_);
-  ids.assign(it->second.ids.begin(), it->second.ids.end());
+  ids.clear();
+  it->second.ids.AppendSorted(ids);
   for (const FuseId& id : ids) {
     HandleLinkDown(id, neighbor);
   }
@@ -788,8 +811,10 @@ std::vector<uint8_t> FuseNode::EncodeLinkList(HostId neighbor) {
     w.PutU32(0);
     return w.Take();
   }
-  w.PutU32(static_cast<uint32_t>(it->second.ids.size()));
-  for (const FuseId& id : it->second.ids) {
+  std::vector<FuseId> ids;
+  it->second.ids.AppendSorted(ids);
+  w.PutU32(static_cast<uint32_t>(ids.size()));
+  for (const FuseId& id : ids) {
     WriteFuseId(w, id);
     const GroupState* g = Find(id);
     uint32_t seq = 0;
@@ -809,12 +834,12 @@ std::vector<uint8_t> FuseNode::EncodeLinkList(HostId neighbor) {
 
 void FuseNode::ProcessRemoteLinkList(HostId neighbor, Reader& r) {
   const uint32_t n = r.GetU32();
-  std::set<FuseId> remote;
+  Flat128Set remote;
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     const FuseId id = ReadFuseId(r);
     r.GetU32();  // seq (informational)
     r.GetU64();  // age
-    remote.insert(id);
+    remote.Insert(id.hi, id.lo);
   }
   if (!r.ok()) {
     return;
@@ -823,7 +848,8 @@ void FuseNode::ProcessRemoteLinkList(HostId neighbor, Reader& r) {
   if (it == links_by_peer_.end()) {
     return;
   }
-  const std::vector<FuseId> mine(it->second.ids.begin(), it->second.ids.end());
+  std::vector<FuseId> mine;
+  it->second.ids.AppendSorted(mine);
   const TimePoint now = transport_->env().Now();
   bool agreed = false;
   for (const FuseId& id : mine) {
@@ -835,7 +861,7 @@ void FuseNode::ProcessRemoteLinkList(HostId neighbor, Reader& r) {
     if (link == nullptr) {
       continue;
     }
-    if (remote.contains(id)) {
+    if (remote.Contains(id.hi, id.lo)) {
       // Agreement: the tree lives on; reset the timers (paper 6.3).
       agreed = true;
     } else if (now - link->installed_at > params_.grace_period) {
@@ -1112,8 +1138,8 @@ void FuseNode::RootStartRepair(FuseId id) {
   aux.repair = std::make_unique<RepairPending>();
   aux.install_pending.clear();
   for (const auto& m : g->members) {
-    aux.repair->awaiting_reply.insert(m.name);
-    aux.install_pending.insert(m.name);
+    AddName(aux.repair->awaiting_reply, m.name);
+    AddName(aux.install_pending, m.name);
   }
   aux.install_timer.Cancel();
   aux.repair->timer.Bind(env);
@@ -1224,7 +1250,7 @@ void FuseNode::OnRepairReply(const WireMessage& msg) {
     return;
   }
   RepairAux& aux = *g->aux;
-  aux.repair->awaiting_reply.erase(member.name);
+  EraseName(aux.repair->awaiting_reply, member.name);
   if (!aux.repair->awaiting_reply.empty()) {
     return;
   }

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -147,15 +146,17 @@ class FuseNode {
 
   struct CreatePending {
     std::vector<NodeRef> members;
-    std::set<std::string> awaiting_reply;    // member names
-    std::set<std::string> installed_early;   // InstallChecking before reply
-    std::vector<HostId> early_links;         // last hops of early installs
+    // Member-name sets here and below are small vectors searched linearly:
+    // a group has a handful of members and nothing walks them in order.
+    std::vector<std::string> awaiting_reply;   // member names
+    std::vector<std::string> installed_early;  // InstallChecking before reply
+    std::vector<HostId> early_links;           // last hops of early installs
     CreateCallback cb;
     Timer timer;
   };
 
   struct RepairPending {
-    std::set<std::string> awaiting_reply;
+    std::vector<std::string> awaiting_reply;
     Timer timer;
   };
 
@@ -175,7 +176,7 @@ class FuseNode {
     // it reported, so the round in flight can complete "successfully" while
     // leaving that member unmonitored — another round must follow.
     bool rerepair_requested = false;
-    std::set<std::string> install_pending;  // members whose path is not installed
+    std::vector<std::string> install_pending;  // members whose path is not installed
     Timer install_timer;
     Duration repair_backoff = Duration::Zero();
     TimePoint last_repair_time;
@@ -212,8 +213,12 @@ class FuseNode {
   // maintained XOR-of-SHA1 set digest, and the last healthy-confirmation
   // stamp.
   struct PeerLinks {
-    // Ordered so the reconcile link list is deterministic.
-    std::set<FuseId> ids;
+    // Open-addressed, so adds and removes are O(1) probes. Its probe order
+    // depends on the add/remove history, so every walk whose order can be
+    // seen (the reconcile link list, the order a dead link's groups go down,
+    // and through those the message and rng order) takes a sorted snapshot
+    // (Flat128Set::AppendSorted): the canonical order is FuseId order.
+    Flat128Set ids;
     Sha1Digest digest{};
     TimePoint last_refresh;
   };

@@ -205,6 +205,41 @@ TEST(Sha1Test, ChunkBoundariesMatchOneShot) {
   }
 }
 
+// Messages whose padding lands on each side of a block edge: 55 bytes pads
+// in one block, 56 spills the length into a second, 63/64 and 119/120 do the
+// same one and two blocks later. Expected digests from Python's hashlib.
+TEST(Sha1Test, PaddingBoundaryKnownAnswers) {
+  const std::pair<size_t, const char*> cases[] = {
+      {55, "a617d006d1ca12671785098a19a87fe58443bde9"},
+      {56, "4ad5bb7ae3c4024768d364b77c52128ea3cffebe"},
+      {63, "fc8a5ab77259625085ead3ec96515b3b8d933fad"},
+      {64, "93249d4c2f8903ebf41ac358473148ae6ddd7042"},
+      {119, "edd0f1133d0e4ca5f3e98bb7e0295f31d20d2cdb"},
+      {120, "23a58eee587aa1f50d19a969ab36a3fe3e88c393"},
+  };
+  for (const auto& [len, hex] : cases) {
+    std::string msg(len, '\0');
+    for (size_t i = 0; i < len; ++i) {
+      msg[i] = static_cast<char>('a' + i % 26);
+    }
+    EXPECT_EQ(Sha1::ToHex(Sha1::Hash(msg)), hex) << "len=" << len;
+  }
+}
+
+TEST(Sha1Test, EverySplitOfA130ByteMessageMatchesOneShot) {
+  std::string msg(130, '\0');
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<char>(i * 37 + 11);
+  }
+  const Sha1Digest expect = Sha1::Hash(msg);
+  for (size_t cut = 0; cut <= msg.size(); ++cut) {
+    Sha1 h;
+    h.Update(msg.data(), cut);
+    h.Update(msg.data() + cut, msg.size() - cut);
+    EXPECT_EQ(h.Finish(), expect) << "cut=" << cut;
+  }
+}
+
 TEST(Sha1Test, UpdateU64IsBigEndianBytes) {
   Sha1 a;
   a.UpdateU64(0x0102030405060708ULL);
@@ -548,6 +583,87 @@ TEST(FlatMapTest, ChurnStressAgainstShadowMap) {
     verify();
   }
   EXPECT_GT(erased_keys.size(), 4000u) << "stress did not churn enough";
+}
+
+TEST(Flat128SetTest, InsertEraseAndTombstoneReuse) {
+  Flat128Set set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.Contains(1, 2));
+  EXPECT_FALSE(set.Erase(1, 2));
+
+  EXPECT_TRUE(set.Insert(1, 2));
+  EXPECT_FALSE(set.Insert(1, 2)) << "duplicate insert";
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.Contains(1, 2));
+  EXPECT_FALSE(set.Contains(2, 1)) << "hi and lo are not interchangeable";
+  EXPECT_LE(set.capacity(), 4u) << "first table";
+
+  EXPECT_TRUE(set.Erase(1, 2));
+  EXPECT_FALSE(set.Erase(1, 2));
+  EXPECT_FALSE(set.Contains(1, 2));
+  EXPECT_TRUE(set.empty());
+
+  // Re-insert over the tombstone the erase left.
+  const size_t cap = set.capacity();
+  EXPECT_TRUE(set.Insert(1, 2));
+  EXPECT_TRUE(set.Contains(1, 2));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.capacity(), cap);
+}
+
+TEST(Flat128SetTest, GrowsFromSmallFirstTableAndCompactsTombstones) {
+  Flat128Set set;
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(set.Insert(i, ~i));
+  }
+  EXPECT_EQ(set.capacity(), 4u) << "three IDs fit the first table";
+  for (uint64_t i = 3; i < 100; ++i) {
+    ASSERT_TRUE(set.Insert(i, ~i));
+  }
+  EXPECT_EQ(set.size(), 100u);
+  EXPECT_GE(set.capacity() * 3, set.size() * 4) << "load stays at most 3/4";
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(set.Contains(i, ~i)) << i;
+  }
+
+  // Steady churn at a fixed size: every erase leaves a tombstone, and the
+  // table must compact them in place rather than keep doubling.
+  const size_t cap = set.capacity();
+  for (uint64_t i = 100; i < 10000; ++i) {
+    ASSERT_TRUE(set.Erase(i - 100, ~(i - 100)));
+    ASSERT_TRUE(set.Insert(i, ~i));
+  }
+  EXPECT_EQ(set.size(), 100u);
+  EXPECT_EQ(set.capacity(), cap);
+  for (uint64_t i = 0; i < 10000; ++i) {
+    ASSERT_EQ(set.Contains(i, ~i), i >= 9900) << i;
+  }
+  size_t visited = 0;
+  set.ForEach([&visited](uint64_t hi, uint64_t lo) {
+    EXPECT_EQ(lo, ~hi);
+    ++visited;
+  });
+  EXPECT_EQ(visited, 100u);
+}
+
+TEST(Flat128SetTest, SortedSnapshotMatchesStdSetOrder) {
+  Rng rng(77);
+  Flat128Set set;
+  std::set<std::pair<uint64_t, uint64_t>> shadow;
+  for (int i = 0; i < 10000; ++i) {
+    // Few distinct his, so the lo half decides many comparisons.
+    const std::pair<uint64_t, uint64_t> key{rng.NextU64() % 64, rng.NextU64()};
+    ASSERT_EQ(set.Insert(key.first, key.second), shadow.insert(key).second);
+    if (rng.Bernoulli(0.2)) {
+      const std::pair<uint64_t, uint64_t> gone = *shadow.begin();
+      ASSERT_TRUE(set.Erase(gone.first, gone.second));
+      shadow.erase(shadow.begin());
+    }
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> snapshot = {{0, 0}};  // appended after
+  set.AppendSorted(snapshot);
+  ASSERT_EQ(snapshot.size(), shadow.size() + 1);
+  EXPECT_TRUE(std::equal(shadow.begin(), shadow.end(), snapshot.begin() + 1));
 }
 
 }  // namespace

@@ -3,12 +3,16 @@
 // shrinker (a planted invariant violation must minimize deterministically).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/sha1.h"
 #include "fuzz/fault_schedule.h"
 #include "fuzz/fuzz_runner.h"
 #include "fuzz/shrinker.h"
+#include "runtime/sharded_sim_cluster.h"
 
 namespace fuse {
 namespace {
@@ -252,6 +256,52 @@ TEST(FuzzSmokeTest, FiftyScheduleSweepHoldsTheInvariant) {
     const FuzzRunResult r = RunSchedule(s);
     EXPECT_TRUE(r.ok()) << r.log_line << (r.violations.empty() ? "" : "\n  " + r.violations[0]);
   }
+}
+
+// The schedule-only RunSchedule builds with the Simulator cost model. The
+// Cluster model serializes a node's sends, which reorders a group's create
+// and install messages, so the same schedules run here on clusters built
+// the same way but with that model.
+TEST(FuzzTest, ClusterCostModelSweep) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    const FaultSchedule s = GenerateSchedule(seed);
+    ClusterConfig cfg;
+    cfg.num_nodes = std::max(s.num_nodes, 4);
+    cfg.seed = s.seed * 2654435761ULL + 0x9e3779b9ULL;
+    cfg.topology.num_as = 40;
+    cfg.cost = CostModel::Cluster();
+    const std::unique_ptr<ClusterHarness> cluster = MakeSimCluster(cfg);
+    cluster->SetStallLimit(kLivelockEvents);
+    cluster->Build();
+    const FuzzRunResult r = RunSchedule(*cluster, s, FuzzRunOptions());
+    EXPECT_TRUE(r.ok()) << r.ToString();
+  }
+}
+
+// SHA-1 of the log lines of schedules 1..60, one per line. A log line holds
+// a run's sim-time results (groups created and fired, false positives,
+// worst detection latency), so a change that moves any message, timer or
+// rng draw of the FUSE trajectory moves this digest.
+std::string TrajectoryDigest(int shards, int threads) {
+  FuzzRunOptions opts;
+  opts.num_shards = shards;
+  opts.threads = threads;
+  Sha1 h;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    h.Update(RunSchedule(GenerateSchedule(seed), opts).log_line);
+    h.Update("\n");
+  }
+  return Sha1::ToHex(h.Finish());
+}
+
+TEST(FuzzRunnerTest, TrajectoryGolden) {
+  EXPECT_EQ(TrajectoryDigest(0, 1), "5744d9a1842b09a1571af2f4a5cbbd742d42d198");
+}
+
+// Two workers on four shards, so the TSan job's ShardedVerdict filter
+// race-checks the per-node FUSE tables across threads.
+TEST(FuzzRunnerTest, ShardedVerdictTrajectoryGolden) {
+  EXPECT_EQ(TrajectoryDigest(4, 2), "2ef96515881e4e42e6b77d28f51705dff52fbab7");
 }
 
 TEST(FuzzShrinkerTest, PlantedViolationShrinksToGolden) {

@@ -8,16 +8,19 @@
 // skewed host's sweep delivers its verdict at timeout/rate without hanging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "common/sha1.h"
 #include "fuzz/fault_schedule.h"
 #include "fuzz/fuzz_runner.h"
 #include "runtime/sim_cluster.h"
 #include "service/group_service.h"
+#include "transport/message.h"
 
 namespace fuse {
 namespace {
@@ -110,6 +113,43 @@ TEST(IncrementalDigestTest, WireDigestPinnedForFixedIdSet) {
   FuseNode::XorInto(digest, ids[2]);
   // Back to SHA-1 over {1, 2} alone.
   EXPECT_EQ(Sha1::ToHex(digest), "869b3badfbf1d6b744486bbc536272b8e85d8cc2");
+}
+
+// The reconcile link list is wire format, and the receiver tears groups
+// down in its order: IDs go out in ascending FuseId order, whatever order
+// the link index holds them in. Pings stop carrying digests here, so every
+// node monitoring a link sees a mismatch and sends its list.
+TEST(LinkIndexTest, ReconcileListIsInFuseIdOrder) {
+  SimCluster cluster(FastPathConfig(8, 507));
+  cluster.Build();
+  constexpr size_t kGroups = 6;
+  for (size_t i = 0; i < kGroups; ++i) {
+    Status status;
+    CreateGroupSync(cluster, 1, {1, 6}, &status);
+    ASSERT_TRUE(status.ok());
+  }
+  size_t requests = 0;
+  size_t longest = 0;
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    cluster.node(i).overlay()->SetPingPayloadProvider(nullptr);
+    cluster.node(i).transport()->RegisterHandler(
+        msgtype::kFuseReconcileRequest, [&](const WireMessage& msg) {
+          Reader r(msg.payload);
+          std::vector<FuseId> ids(r.GetU32());
+          for (FuseId& id : ids) {
+            id = ReadFuseId(r);
+            r.GetU32();  // seq
+            r.GetU64();  // age
+          }
+          EXPECT_TRUE(r.Done());
+          EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+          ++requests;
+          longest = std::max(longest, ids.size());
+        });
+  }
+  cluster.sim().RunFor(Duration::Minutes(3));
+  EXPECT_GT(requests, 0u);
+  EXPECT_EQ(longest, kGroups) << "no link carried every group";
 }
 
 // The fuzz sweep on the sharded engine (FuzzSmokeTest covers the classic
